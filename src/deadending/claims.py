@@ -11,10 +11,11 @@ search shortfalls surface as distinct failure notes, not as refutations.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional, Sequence
 
 from .games import (
     ZERO,
@@ -49,6 +50,7 @@ from .outcomes import (
     number_sum_outcome,
     outcome_geq,
     outcome_misere,
+    outcome_misere_sum,
 )
 from .universes import (
     Comparison,
@@ -195,60 +197,42 @@ class _Check:
 # witness search shared by the order and distinctness claims
 
 
-def _refutation_witness(
+def _fails_geq(a: Outcome, b: Outcome) -> bool:
+    return not outcome_geq(a, b)
+
+
+def _context_witness(
     g: GameId,
     h: GameId,
-    scan: Iterable[GameId],
-    pack: list[GameId],
-    h_conjugate: Optional[GameId],
+    differs: Callable[[Outcome, Outcome], bool],
+    scan: Sequence[GameId],
+    pack: Sequence[GameId],
 ) -> Optional[tuple[GameId, str]]:
-    """A context X in the dead-ending universe with not o-(g+X) >= o-(h+X).
+    """A dead-ending context X with differs(o-(g+X), o-(h+X)), and its route.
 
     Tries the scan pool, then ladder contexts, then composites conj(h) + Y;
     the composite step mirrors the reduction of g >= h to g + conj(h) >= 0,
-    valid whenever h has an inverse.  Every returned witness is re-verified
-    directly, so the route taken never weakens the result.
+    valid whenever h has an inverse.  Composites are solved as the pairs
+    (g + conj(h), Y) and (h + conj(h), Y), so only the returned witness is
+    built.  Every returned witness is re-verified directly by the caller, so
+    the route taken never weakens the result.
     """
-    scan = list(scan)
-    for x in scan:
-        if not outcome_geq(outcome_misere(add(g, x)), outcome_misere(add(h, x))):
-            return x, "scan"
-    for x in pack:
-        if not outcome_geq(outcome_misere(add(g, x)), outcome_misere(add(h, x))):
-            return x, "ladder"
-    if h_conjugate is not None:
-        for y in itertools.chain(scan, pack):
-            x = add(h_conjugate, y)
-            if not outcome_geq(outcome_misere(add(g, x)), outcome_misere(add(h, x))):
-                return x, "composite"
-    return None
-
-
-def _distinguishing_witness(
-    g: GameId,
-    h: GameId,
-    scan: Iterable[GameId],
-    pack: list[GameId],
-    h_conjugate: Optional[GameId],
-) -> Optional[tuple[GameId, str]]:
-    scan = list(scan)
-    for x in scan:
-        if outcome_misere(add(g, x)) != outcome_misere(add(h, x)):
-            return x, "scan"
-    for x in pack:
-        if outcome_misere(add(g, x)) != outcome_misere(add(h, x)):
-            return x, "ladder"
-    if h_conjugate is not None:
-        for y in itertools.chain(scan, pack):
-            x = add(h_conjugate, y)
-            if outcome_misere(add(g, x)) != outcome_misere(add(h, x)):
-                return x, "composite"
+    for route, pool in (("scan", scan), ("ladder", pack)):
+        for x in pool:
+            if differs(outcome_misere_sum(g, x), outcome_misere_sum(h, x)):
+                return x, route
+    h_conjugate = conjugate(h)
+    g_shifted = add(g, h_conjugate)
+    h_shifted = add(h, h_conjugate)
+    for y in itertools.chain(scan, pack):
+        if differs(outcome_misere_sum(g_shifted, y), outcome_misere_sum(h_shifted, y)):
+            return add(h_conjugate, y), "composite"
     return None
 
 
 def _verify_refutation(g: GameId, h: GameId, x: GameId) -> bool:
-    return is_dead_ending(x) and not outcome_geq(
-        outcome_misere(add(g, x)), outcome_misere(add(h, x))
+    return is_dead_ending(x) and _fails_geq(
+        outcome_misere_sum(g, x), outcome_misere_sum(h, x)
     )
 
 
@@ -294,7 +278,7 @@ def _claim_end_sum_outcome(bounds: Bounds) -> _Check:
     for g in rights:
         for h in lefts:
             check.run(
-                outcome_misere(add(g, h)) == dead_end_sum_outcome(g, h),
+                outcome_misere_sum(g, h) == dead_end_sum_outcome(g, h),
                 add(g, h),
                 "solver disagrees with length rule",
             )
@@ -317,7 +301,7 @@ def _claim_ends_invertible(bounds: Bounds) -> _Check:
         paired = add(g, conjugate(g))
         for x in left_ends:
             check.run(
-                outcome_misere(add(paired, x)) in (Outcome.L, Outcome.N),
+                outcome_misere_sum(paired, x) in (Outcome.L, Outcome.N),
                 x,
                 "left-end context escapes L/N",
                 around=render(g),
@@ -370,13 +354,13 @@ def _claim_int_incomparable(bounds: Bounds) -> _Check:
             # conjugate witness refutes n >= m
             x = conjugate(gm)
             check.run(
-                outcome_misere(add(gn, x)) == Outcome.R,
+                outcome_misere_sum(gn, x) == Outcome.R,
                 x,
                 "n + conj(m) not R",
                 pair=f"{n},{m}",
             )
             check.run(
-                outcome_misere(add(gm, x)) == Outcome.N,
+                outcome_misere_sum(gm, x) == Outcome.N,
                 x,
                 "m + conj(m) not N",
                 pair=f"{n},{m}",
@@ -388,13 +372,13 @@ def _claim_int_incomparable(bounds: Bounds) -> _Check:
             if m >= 0:
                 lam = lambda_game(n)
                 check.run(
-                    outcome_misere(add(gn, lam)) == Outcome.L,
+                    outcome_misere_sum(gn, lam) == Outcome.L,
                     lam,
                     "n + ladder not L",
                     pair=f"{n},{m}",
                 )
                 check.run(
-                    outcome_misere(add(gm, lam)) in (Outcome.P, Outcome.R),
+                    outcome_misere_sum(gm, lam) in (Outcome.P, Outcome.R),
                     lam,
                     "m + ladder not P/R",
                     pair=f"{n},{m}",
@@ -404,13 +388,13 @@ def _claim_int_incomparable(bounds: Bounds) -> _Check:
                 k = -m - 1
                 witness = add(integer_game(k), lambda_game(n + k))
                 check.run(
-                    outcome_misere(add(gn, witness)) == Outcome.L,
+                    outcome_misere_sum(gn, witness) == Outcome.L,
                     witness,
                     "n + shifted ladder not L",
                     pair=f"{n},{m}",
                 )
                 check.run(
-                    outcome_misere(add(gm, witness)) == Outcome.N,
+                    outcome_misere_sum(gm, witness) == Outcome.N,
                     witness,
                     "m + shifted ladder not N",
                     pair=f"{n},{m}",
@@ -614,7 +598,7 @@ def _claim_number_plus_end(bounds: Bounds) -> _Check:
             built = add_all(games[lit] for lit in combo)
             for x in left_ends:
                 check.run(
-                    outcome_misere(add(built, x)) == Outcome.L,
+                    outcome_misere_sum(built, x) == Outcome.L,
                     x,
                     "left end spoils a Left-won number sum",
                     terms=" + ".join(str(l) for l in combo),
@@ -654,7 +638,7 @@ def _claim_geq_implies_normal(bounds: Bounds) -> _Check:
     found = 0
     beyond = 0
     for g, h in sample:
-        hit = _refutation_witness(g, h, tests.members, pack, conjugate(h))
+        hit = _context_witness(g, h, _fails_geq, tests.members, pack)
         check.cases += 1
         if hit is not None:
             witness, route = hit
@@ -686,14 +670,14 @@ def _claim_numbers_distinct(bounds: Bounds) -> _Check:
     for i, a in enumerate(literals):
         for b in literals[i + 1 :]:
             ga, gb = dyadic_game(a), dyadic_game(b)
-            hit = _distinguishing_witness(ga, gb, tests.members, pack, conjugate(gb))
+            hit = _context_witness(ga, gb, operator.ne, tests.members, pack)
             ok = hit is not None
             if ok:
                 witness, route = hit
                 routes[route] += 1
-                ok = is_dead_ending(witness) and outcome_misere(
-                    add(ga, witness)
-                ) != outcome_misere(add(gb, witness))
+                ok = is_dead_ending(witness) and outcome_misere_sum(
+                    ga, witness
+                ) != outcome_misere_sum(gb, witness)
             check.run(ok, ga, "no distinguishing context found", pair=f"{a},{b}")
     check.details["routes"] = routes
     check.details["tests"] = tests.descriptor
@@ -739,23 +723,21 @@ def _claim_number_order(bounds: Bounds) -> _Check:
             if relation in (Comparison.GREATER, Comparison.LESS):
                 hi, lo = (ga, gb) if relation == Comparison.GREATER else (gb, ga)
                 greater_checked += 1
-                stray = _refutation_witness(
-                    hi, lo, tests.members, pack, conjugate(lo)
-                )
+                stray = _context_witness(hi, lo, _fails_geq, tests.members, pack)
                 check.run(
                     stray is None,
                     hi,
                     "closed-form greater direction refuted",
                     pair=f"{a},{b}",
                 )
-                strict = _refutation_witness(lo, hi, tests.members, pack, conjugate(hi))
+                strict = _context_witness(lo, hi, _fails_geq, tests.members, pack)
                 ok = strict is not None and _verify_refutation(lo, hi, strict[0])
                 check.run(ok, lo, "strictness witness missing", pair=f"{a},{b}")
             elif relation == Comparison.INCOMPARABLE:
                 incomparable_checked += 1
                 for x, y in ((a, b), (b, a)):
                     gx, gy = dyadic_game(x), dyadic_game(y)
-                    hit = _refutation_witness(gx, gy, tests.members, pack, conjugate(gy))
+                    hit = _context_witness(gx, gy, _fails_geq, tests.members, pack)
                     ok = hit is not None and _verify_refutation(gx, gy, hit[0])
                     if hit is not None:
                         routes[hit[1]] += 1

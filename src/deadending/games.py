@@ -4,8 +4,10 @@ A position is a pair of option sets, one for Left and one for Right, and is
 identified by a dense integer id.  Positions are hash-consed: two games built
 from identical (recursively interned) option sets always share an id, so
 structural equality of trees is id equality.  The intern store and every memo
-table are append-only and guarded for concurrent use; all functions here are
-pure in their arguments and deterministic.
+table are append-only.  Only `intern` takes a lock, so concurrent callers
+never see two ids for one tree; the memo tables are plain dicts whose racing
+writers store the same value.  All functions here are pure in their arguments
+and deterministic.
 """
 
 from __future__ import annotations
@@ -143,32 +145,29 @@ class NumberLiteral:
         )
 
     def left_length(self) -> Optional[int]:
-        """Minimum count of consecutive Left moves to zero, or None if unreachable."""
-        if self.numerator == 0:
-            return 0
+        """Minimum count of consecutive Left moves to zero, or None if unreachable.
+
+        Each Left move clears the lowest set bit of the numerator until the
+        literal is an integer, which then counts down one move at a time:
+        m / 2**j takes (m >> j) + popcount(m mod 2**j) moves.
+        """
         if self.numerator < 0:
             return None
-        left = self.left_option()
-        assert left is not None
-        sub = left.left_length()
-        assert sub is not None
-        return 1 + sub
+        return _literal_length(self.numerator, self.exponent)
 
     def right_length(self) -> Optional[int]:
-        if self.numerator == 0:
-            return 0
         if self.numerator > 0:
             return None
-        right = self.right_option()
-        assert right is not None
-        sub = right.right_length()
-        assert sub is not None
-        return 1 + sub
+        return _literal_length(-self.numerator, self.exponent)
 
     def __str__(self) -> str:
         if self.exponent == 0:
             return str(self.numerator)
         return f"{self.numerator}/{1 << self.exponent}"
+
+
+def _literal_length(magnitude: int, exponent: int) -> int:
+    return (magnitude >> exponent) + (magnitude & ((1 << exponent) - 1)).bit_count()
 
 
 def number_literals(

@@ -2,9 +2,14 @@
 
 The misere solver treats a player with no move as the winner; the normal
 solver treats them as the loser.  Both are exact memoized searches over
-interned positions.  The closed forms compute outcomes of dead-end sums and
-number sums arithmetically and never fall back to the solver; agreement
-between the two routes is checked by the verification harness.
+interned positions.  The misere outcome of a two-component sum g + h is
+searched over the unordered component pair instead, so that context scans
+never intern the sum: the memo key is (smaller id, larger id, side to move),
+a move replaces one component with one of its options, and once a component
+reaches zero the search continues in the single-game memo.  The closed forms
+compute outcomes of dead-end sums and number sums arithmetically and never
+fall back to the solver; agreement between the two routes is checked by the
+verification harness.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from .games import (
+    ZERO,
     GameId,
     NumberLiteral,
     add,
@@ -35,20 +41,6 @@ class Outcome(Enum):
     P = "P"
 
 
-# pairs (a, b) with a >= b in the outcome order: L on top, R at bottom,
-# N and P incomparable in between
-_GEQ_PAIRS = {
-    (Outcome.L, Outcome.L),
-    (Outcome.L, Outcome.N),
-    (Outcome.L, Outcome.P),
-    (Outcome.L, Outcome.R),
-    (Outcome.N, Outcome.N),
-    (Outcome.N, Outcome.R),
-    (Outcome.P, Outcome.P),
-    (Outcome.P, Outcome.R),
-    (Outcome.R, Outcome.R),
-}
-
 _CONJUGATE = {
     Outcome.L: Outcome.R,
     Outcome.R: Outcome.L,
@@ -58,11 +50,12 @@ _CONJUGATE = {
 
 _misere_win_memo: dict[tuple[GameId, bool], bool] = {}
 _normal_win_memo: dict[tuple[GameId, bool], bool] = {}
+_misere_pair_memo: dict[tuple[GameId, GameId, bool], bool] = {}
 
 
 def outcome_geq(a: Outcome, b: Outcome) -> bool:
-    """Partial order on outcomes, Left preferring the top."""
-    return (a, b) in _GEQ_PAIRS
+    """Partial order on outcomes: L on top, R at the bottom, N and P incomparable."""
+    return a is b or a is Outcome.L or b is Outcome.R
 
 
 def conjugate_outcome(o: Outcome) -> Outcome:
@@ -86,17 +79,59 @@ def _wins_moving_first(g: GameId, left_to_move: bool, memo, no_move_wins: bool) 
     return result
 
 
-def _outcome(g: GameId, memo, no_move_wins: bool) -> Outcome:
-    left_wins = _wins_moving_first(g, True, memo, no_move_wins)
-    right_wins = _wins_moving_first(g, False, memo, no_move_wins)
+def _misere_pair_wins(g: GameId, h: GameId, left_to_move: bool) -> bool:
+    """Does the player to move win g + h under misere play?"""
+    if g > h:
+        g, h = h, g
+    if g == ZERO:
+        return _wins_moving_first(h, left_to_move, _misere_win_memo, True)
+    key = (g, h, left_to_move)
+    cached = _misere_pair_memo.get(key)
+    if cached is not None:
+        return cached
+    if left_to_move:
+        g_opts, h_opts = left_options(g), left_options(h)
+    else:
+        g_opts, h_opts = right_options(g), right_options(h)
+    mover = not left_to_move
+    result = not g_opts and not h_opts
+    if not result:
+        for o in g_opts:
+            if not _misere_pair_wins(o, h, mover):
+                result = True
+                break
+        else:
+            for o in h_opts:
+                if not _misere_pair_wins(g, o, mover):
+                    result = True
+                    break
+    _misere_pair_memo[key] = result
+    return result
+
+
+def _outcome_from_wins(left_wins: bool, right_wins: bool) -> Outcome:
     if left_wins:
         return Outcome.N if right_wins else Outcome.L
     return Outcome.R if right_wins else Outcome.P
 
 
+def _outcome(g: GameId, memo, no_move_wins: bool) -> Outcome:
+    return _outcome_from_wins(
+        _wins_moving_first(g, True, memo, no_move_wins),
+        _wins_moving_first(g, False, memo, no_move_wins),
+    )
+
+
 def outcome_misere(g: GameId) -> Outcome:
     """Misere outcome class: the first player unable to move wins."""
     return _outcome(g, _misere_win_memo, True)
+
+
+def outcome_misere_sum(g: GameId, h: GameId) -> Outcome:
+    """Misere outcome class of g + h, searched without building the sum."""
+    return _outcome_from_wins(
+        _misere_pair_wins(g, h, True), _misere_pair_wins(g, h, False)
+    )
 
 
 def outcome_normal(g: GameId) -> Outcome:

@@ -36,7 +36,7 @@ from .games import (
     right_length,
     sort_games,
 )
-from .outcomes import Outcome, outcome_geq, outcome_misere
+from .outcomes import Outcome, outcome_geq, outcome_misere, outcome_misere_sum
 
 DEFAULT_MEMBER_BUDGET = 500_000
 
@@ -325,8 +325,8 @@ OrderVerdict = Union[GeqConsistentUpTo, Refuted, IncomparableWitnessed]
 def equiv_mod(g: GameId, h: GameId, tests: TestSet) -> Verdict:
     """Scan the test set for a context with differing misere outcomes."""
     for x in tests.members:
-        og = outcome_misere(add(g, x))
-        oh = outcome_misere(add(h, x))
+        og = outcome_misere_sum(g, x)
+        oh = outcome_misere_sum(h, x)
         if og != oh:
             return Distinguished(x, og, oh)
     return IndistinguishableUpTo(tests.descriptor)
@@ -337,8 +337,8 @@ def geq_mod(g: GameId, h: GameId, tests: TestSet) -> OrderVerdict:
     geq_fail: Optional[GameId] = None
     leq_fail: Optional[GameId] = None
     for x in tests.members:
-        og = outcome_misere(add(g, x))
-        oh = outcome_misere(add(h, x))
+        og = outcome_misere_sum(g, x)
+        oh = outcome_misere_sum(h, x)
         if geq_fail is None and not outcome_geq(og, oh):
             geq_fail = x
         if leq_fail is None and not outcome_geq(oh, og):

@@ -1,8 +1,22 @@
 """The claim registry: every checker runs, passes, and reports faithfully."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
-from deadending.claims import Bounds, ClaimReport, claim_ids, run_all, run_claim
+from deadending import add, conjugate, dyadic_game, outcome_geq, outcome_misere
+from deadending.claims import (
+    Bounds,
+    ClaimReport,
+    _context_witness,
+    _fails_geq,
+    _verify_refutation,
+    claim_ids,
+    run_all,
+    run_claim,
+)
+from deadending.universes import gen_dead_ending
 
 # small enough to keep this module fast; the acceptance suite runs the
 # defaults
@@ -23,6 +37,27 @@ def test_registry_has_the_full_claim_set():
     assert "lemma:follower-closed" in ids
     assert "thm:int-monoid" in ids
     assert "fact:star-squared" in ids
+
+
+def test_composite_witness_is_conjugate_plus_context():
+    # -2 >= 3/8 has no refuting context among the scan and ladder pools; the
+    # composite route must return conj(3/8) + Y for the first Y that the
+    # built-sum route finds
+    g, h = dyadic_game(-2), dyadic_game(Fraction(3, 8))
+    scan = gen_dead_ending(2, 2).members
+    pack = Bounds().ladder_pack()
+    witness, route = _context_witness(g, h, _fails_geq, scan, pack)
+    assert route == "composite"
+    first = next(
+        y
+        for y in itertools.chain(scan, pack)
+        if not outcome_geq(
+            outcome_misere(add(g, add(conjugate(h), y))),
+            outcome_misere(add(h, add(conjugate(h), y))),
+        )
+    )
+    assert witness == add(conjugate(h), first)
+    assert _verify_refutation(g, h, witness)
 
 
 def test_unknown_claim_rejected():

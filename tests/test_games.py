@@ -275,6 +275,36 @@ def test_positive_dyadic_length_recursion():
         assert right.left_length() <= literal.left_length()
 
 
+def _walked_length(literal, step):
+    """Moves along step() from literal to zero, or None if step() runs out first."""
+    count = 0
+    while not literal.is_zero:
+        literal = step(literal)
+        if literal is None:
+            return None
+        count += 1
+    return count
+
+
+def test_literal_length_closed_form_matches_recursion():
+    literals = number_literals(8, 6, include_zero=True)
+    assert len(literals) == 3073
+    for literal in literals:
+        assert literal.left_length() == _walked_length(
+            literal, NumberLiteral.left_option
+        ), literal
+        assert literal.right_length() == _walked_length(
+            literal, NumberLiteral.right_option
+        ), literal
+
+
+def test_literal_lengths_of_deep_integers():
+    assert NumberLiteral(5000, 0).left_length() == 5000
+    assert NumberLiteral(5000, 0).right_length() is None
+    assert NumberLiteral(-5000, 0).right_length() == 5000
+    assert NumberLiteral(-4095, 12).right_length() == 12
+
+
 def test_dyadic_option_structure():
     # one of the mixed second options coincides with the direct option
     for literal in number_literals(4, 2):

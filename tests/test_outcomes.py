@@ -28,10 +28,11 @@ from deadending import (
     number_sum_outcome,
     outcome_geq,
     outcome_misere,
+    outcome_misere_sum,
     outcome_normal,
     star,
 )
-from deadending.universes import gen_dead_ends
+from deadending.universes import gen_dead_ending, gen_dead_ends, witness_contexts
 
 from strategies import build, shapes
 
@@ -78,6 +79,22 @@ def test_outcome_order_table():
     }
     for pair, value in expected.items():
         assert outcome_geq(*pair) == value, pair
+
+
+@settings(max_examples=300)
+@given(shapes, shapes)
+def test_pair_search_matches_built_sum(sa, sb):
+    g, h = build(sa), build(sb)
+    for a, b in ((g, h), (h, g), (g, g), (g, ZERO), (ZERO, h)):
+        assert outcome_misere_sum(a, b) == outcome_misere(add(a, b)), (a, b)
+
+
+def test_pair_search_matches_built_sum_on_scan_contexts():
+    members = gen_dead_ending(2, 2).members
+    contexts = members + tuple(witness_contexts(4, 3))
+    for i, g in enumerate(members):
+        for x in contexts[i:]:
+            assert outcome_misere_sum(g, x) == outcome_misere(add(g, x)), (g, x)
 
 
 @settings(max_examples=150)
