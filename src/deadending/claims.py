@@ -11,11 +11,10 @@ search shortfalls surface as distinct failure notes, not as refutations.
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from .games import (
     ZERO,
@@ -57,7 +56,10 @@ from .universes import (
     Distinguished,
     GeqConsistentUpTo,
     IndistinguishableUpTo,
+    Row,
     TestSet,
+    _differ,
+    _fails_geq,
     compare_integers_mod_dead_end_closure,
     compare_numbers_mod_E,
     equiv_mod,
@@ -114,9 +116,9 @@ class Bounds:
     def number_tests(self) -> TestSet:
         return gen_number_closure(self.exponent, self.magnitude, self.terms)
 
-    def ladder_pack(self) -> list[GameId]:
+    def ladder_pack(self) -> TestSet:
         size = max(8, 2 * (self.exponent + self.magnitude))
-        return witness_contexts(size, size)
+        return TestSet(f"ladders:r{size}:d{size}", tuple(witness_contexts(size, size)))
 
 
 @dataclass
@@ -197,41 +199,40 @@ class _Check:
 # witness search shared by the order and distinctness claims
 
 
-def _fails_geq(a: Outcome, b: Outcome) -> bool:
-    return not outcome_geq(a, b)
-
-
 def _context_witness(
     g: GameId,
     h: GameId,
-    differs: Callable[[Outcome, Outcome], bool],
-    scan: Sequence[GameId],
-    pack: Sequence[GameId],
+    predicate: Callable[[Row, Row], int],
+    scan: TestSet,
+    pack: TestSet,
 ) -> Optional[tuple[GameId, str]]:
-    """A dead-ending context X with differs(o-(g+X), o-(h+X)), and its route.
+    """A dead-ending context X where predicate holds for g and h, and its route.
 
-    Tries the scan pool, then ladder contexts, then composites conj(h) + Y;
-    the composite step mirrors the reduction of g >= h to g + conj(h) >= 0,
-    valid whenever h has an inverse.  Composites are solved as the pairs
-    (g + conj(h), Y) and (h + conj(h), Y), so only the returned witness is
-    built.  Every returned witness is re-verified directly by the caller, so
-    the route taken never weakens the result.
+    The predicate is a row predicate of `universes` (`_fails_geq` or
+    `_differ`).  Tries the scan pool, then ladder contexts, then composites
+    conj(h) + Y; the composite step mirrors the reduction of g >= h to
+    g + conj(h) >= 0, valid whenever h has an inverse.  Composites are read
+    as the rows of g + conj(h) and h + conj(h) against Y, so only the
+    returned witness is built.  Every returned witness is re-verified
+    directly by the caller, so the route taken never weakens the result.
     """
-    for route, pool in (("scan", scan), ("ladder", pack)):
-        for x in pool:
-            if differs(outcome_misere_sum(g, x), outcome_misere_sum(h, x)):
-                return x, route
+    for route, tests in (("scan", scan), ("ladder", pack)):
+        i = tests.table.first(g, h, predicate)
+        if i is not None:
+            return tests.members[i], route
     h_conjugate = conjugate(h)
     g_shifted = add(g, h_conjugate)
     h_shifted = add(h, h_conjugate)
-    for y in itertools.chain(scan, pack):
-        if differs(outcome_misere_sum(g_shifted, y), outcome_misere_sum(h_shifted, y)):
-            return add(h_conjugate, y), "composite"
+    for tests in (scan, pack):
+        i = tests.table.first(g_shifted, h_shifted, predicate)
+        if i is not None:
+            return add(h_conjugate, tests.members[i]), "composite"
     return None
 
 
 def _verify_refutation(g: GameId, h: GameId, x: GameId) -> bool:
-    return is_dead_ending(x) and _fails_geq(
+    """Independent re-check of a refutation of g >= h by the pair search."""
+    return is_dead_ending(x) and not outcome_geq(
         outcome_misere_sum(g, x), outcome_misere_sum(h, x)
     )
 
@@ -638,7 +639,7 @@ def _claim_geq_implies_normal(bounds: Bounds) -> _Check:
     found = 0
     beyond = 0
     for g, h in sample:
-        hit = _context_witness(g, h, _fails_geq, tests.members, pack)
+        hit = _context_witness(g, h, _fails_geq, tests, pack)
         check.cases += 1
         if hit is not None:
             witness, route = hit
@@ -670,7 +671,7 @@ def _claim_numbers_distinct(bounds: Bounds) -> _Check:
     for i, a in enumerate(literals):
         for b in literals[i + 1 :]:
             ga, gb = dyadic_game(a), dyadic_game(b)
-            hit = _context_witness(ga, gb, operator.ne, tests.members, pack)
+            hit = _context_witness(ga, gb, _differ, tests, pack)
             ok = hit is not None
             if ok:
                 witness, route = hit
@@ -723,21 +724,21 @@ def _claim_number_order(bounds: Bounds) -> _Check:
             if relation in (Comparison.GREATER, Comparison.LESS):
                 hi, lo = (ga, gb) if relation == Comparison.GREATER else (gb, ga)
                 greater_checked += 1
-                stray = _context_witness(hi, lo, _fails_geq, tests.members, pack)
+                stray = _context_witness(hi, lo, _fails_geq, tests, pack)
                 check.run(
                     stray is None,
                     hi,
                     "closed-form greater direction refuted",
                     pair=f"{a},{b}",
                 )
-                strict = _context_witness(lo, hi, _fails_geq, tests.members, pack)
+                strict = _context_witness(lo, hi, _fails_geq, tests, pack)
                 ok = strict is not None and _verify_refutation(lo, hi, strict[0])
                 check.run(ok, lo, "strictness witness missing", pair=f"{a},{b}")
             elif relation == Comparison.INCOMPARABLE:
                 incomparable_checked += 1
                 for x, y in ((a, b), (b, a)):
                     gx, gy = dyadic_game(x), dyadic_game(y)
-                    hit = _context_witness(gx, gy, _fails_geq, tests.members, pack)
+                    hit = _context_witness(gx, gy, _fails_geq, tests, pack)
                     ok = hit is not None and _verify_refutation(gx, gy, hit[0])
                     if hit is not None:
                         routes[hit[1]] += 1

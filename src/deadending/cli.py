@@ -10,6 +10,7 @@ stable envelope {command, inputs, result, witnesses, bounds, duration_ms}.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -413,10 +414,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main call, not at import; parse_args keeps no state
+    # between calls, so one parser serves every call in a process
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

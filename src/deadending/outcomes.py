@@ -2,14 +2,18 @@
 
 The misere solver treats a player with no move as the winner; the normal
 solver treats them as the loser.  Both are exact memoized searches over
-interned positions.  The misere outcome of a two-component sum g + h is
-searched over the unordered component pair instead, so that context scans
-never intern the sum: the memo key is (smaller id, larger id, side to move),
-a move replaces one component with one of its options, and once a component
-reaches zero the search continues in the single-game memo.  The closed forms
-compute outcomes of dead-end sums and number sums arithmetically and never
-fall back to the solver; agreement between the two routes is checked by the
-verification harness.
+interned positions.  The outcome of a single two-component sum g + h is
+searched over the unordered component pair instead, so that it never interns
+the sum: the memo key is (smaller id, larger id, side to move), a move
+replaces one component with one of its options, and once a component reaches
+zero the search continues in the single-game memo.  The pair search takes the
+terminal rule as a parameter: `outcome_misere_sum` uses the misere rule and
+`normal_geq` the normal one.  Scans of a game against a whole test set read
+the test set's outcome rows (`universes.ContextTable`) instead; the pair
+search is their independent re-check.  The closed forms compute outcomes of
+dead-end sums and number sums arithmetically and never fall back to the
+solver; agreement between the two routes is checked by the verification
+harness.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .games import (
     ZERO,
     GameId,
     NumberLiteral,
-    add,
     conjugate,
     is_dead_left_end,
     is_dead_right_end,
@@ -51,6 +54,7 @@ _CONJUGATE = {
 _misere_win_memo: dict[tuple[GameId, bool], bool] = {}
 _normal_win_memo: dict[tuple[GameId, bool], bool] = {}
 _misere_pair_memo: dict[tuple[GameId, GameId, bool], bool] = {}
+_normal_pair_memo: dict[tuple[GameId, GameId, bool], bool] = {}
 
 
 def outcome_geq(a: Outcome, b: Outcome) -> bool:
@@ -79,14 +83,16 @@ def _wins_moving_first(g: GameId, left_to_move: bool, memo, no_move_wins: bool) 
     return result
 
 
-def _misere_pair_wins(g: GameId, h: GameId, left_to_move: bool) -> bool:
-    """Does the player to move win g + h under misere play?"""
+def _pair_wins(
+    g: GameId, h: GameId, left_to_move: bool, pair_memo, memo, no_move_wins: bool
+) -> bool:
+    """Does the player to move win g + h?  memo is the single-game memo."""
     if g > h:
         g, h = h, g
     if g == ZERO:
-        return _wins_moving_first(h, left_to_move, _misere_win_memo, True)
+        return _wins_moving_first(h, left_to_move, memo, no_move_wins)
     key = (g, h, left_to_move)
-    cached = _misere_pair_memo.get(key)
+    cached = pair_memo.get(key)
     if cached is not None:
         return cached
     if left_to_move:
@@ -94,18 +100,17 @@ def _misere_pair_wins(g: GameId, h: GameId, left_to_move: bool) -> bool:
     else:
         g_opts, h_opts = right_options(g), right_options(h)
     mover = not left_to_move
-    result = not g_opts and not h_opts
-    if not result:
-        for o in g_opts:
-            if not _misere_pair_wins(o, h, mover):
+    result = no_move_wins and not g_opts and not h_opts
+    for o in g_opts:
+        if not _pair_wins(o, h, mover, pair_memo, memo, no_move_wins):
+            result = True
+            break
+    else:
+        for o in h_opts:
+            if not _pair_wins(g, o, mover, pair_memo, memo, no_move_wins):
                 result = True
                 break
-        else:
-            for o in h_opts:
-                if not _misere_pair_wins(g, o, mover):
-                    result = True
-                    break
-    _misere_pair_memo[key] = result
+    pair_memo[key] = result
     return result
 
 
@@ -130,7 +135,8 @@ def outcome_misere(g: GameId) -> Outcome:
 def outcome_misere_sum(g: GameId, h: GameId) -> Outcome:
     """Misere outcome class of g + h, searched without building the sum."""
     return _outcome_from_wins(
-        _misere_pair_wins(g, h, True), _misere_pair_wins(g, h, False)
+        _pair_wins(g, h, True, _misere_pair_memo, _misere_win_memo, True),
+        _pair_wins(g, h, False, _misere_pair_memo, _misere_win_memo, True),
     )
 
 
@@ -140,8 +146,13 @@ def outcome_normal(g: GameId) -> Outcome:
 
 
 def normal_geq(g: GameId, h: GameId) -> bool:
-    """Normal-play comparison: g >= h iff Left wins g + conjugate(h) second."""
-    return outcome_normal(add(g, conjugate(h))) in (Outcome.L, Outcome.P)
+    """Normal-play comparison: g >= h iff Left wins g + conjugate(h) second.
+
+    Searched over the pair (g, conjugate(h)), so the sum is never built.
+    """
+    return not _pair_wins(
+        g, conjugate(h), False, _normal_pair_memo, _normal_win_memo, False
+    )
 
 
 def dead_end_sum_outcome(g: GameId, h: GameId) -> Outcome:

@@ -6,6 +6,15 @@ pool of distinguishing contexts.  Verdicts from scans over a TestSet are
 three-valued by design: a bounded scan can refute equivalence or inequality
 outright, but can confirm it only up to the declared bounds, so every
 "consistent" verdict carries its descriptor.
+
+Every scan reads outcome rows from the test set's ContextTable, built on
+first use.  A game's row holds, for each context X of the table, whether
+Left and whether Right wins g + X moving first; it is computed from the rows
+of g's options in one pass over the contexts in birthday order, so no sum is
+built or searched.  A scan is then a bit predicate on two rows, and the
+first set byte names the first witnessing member.  Two games are
+indistinguishable over the test set exactly when their rows agree on the
+members, so the monoid quotient partitions sums by that signature.
 """
 
 from __future__ import annotations
@@ -13,8 +22,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .games import (
     ZERO,
@@ -23,6 +33,7 @@ from .games import (
     add,
     add_all,
     as_number,
+    birthday,
     conjugate,
     dyadic_game,
     integer_game,
@@ -32,11 +43,14 @@ from .games import (
     is_dead_left_end,
     is_dead_right_end,
     left_length,
+    left_options,
     number_literals,
+    options,
     right_length,
+    right_options,
     sort_games,
 )
-from .outcomes import Outcome, outcome_geq, outcome_misere, outcome_misere_sum
+from .outcomes import Outcome, _outcome_from_wins, outcome_misere
 
 DEFAULT_MEMBER_BUDGET = 500_000
 
@@ -68,6 +82,133 @@ class TestSet:
 
     def __iter__(self) -> Iterator[GameId]:
         return iter(self.members)
+
+    @cached_property
+    def table(self) -> "ContextTable":
+        """Outcome rows against the members, built on first use."""
+        return ContextTable(self.members)
+
+
+# (Left wins g + X moving first, Right wins g + X moving first) for every
+# context X of a table, one byte per context, context i in byte i
+Row = tuple[int, int]
+
+
+class ContextTable:
+    """Misere outcome rows of games against a fixed set of contexts.
+
+    `contexts` holds the members, in order, followed by every other follower
+    of a member, so a member's index in the table is its index in the test
+    set.  Rows are computed on demand and kept for the table's lifetime.
+    """
+
+    def __init__(self, members: Sequence[GameId]):
+        contexts = list(members)
+        index: dict[GameId, int] = {}
+        for i, x in enumerate(contexts):
+            index.setdefault(x, i)
+        for x in contexts:  # grows while iterated: the follower closure
+            for o in options(x):
+                if o not in index:
+                    index[o] = len(contexts)
+                    contexts.append(o)
+        self.contexts = tuple(contexts)
+        size = len(contexts)
+        lefts = [tuple(index[o] for o in left_options(x)) for x in contexts]
+        rights = [tuple(index[o] for o in right_options(x)) for x in contexts]
+        self._size = size
+        self._ones = int.from_bytes(b"\x01" * size, "little")
+        self._member_mask = int.from_bytes(b"\x01" * len(members), "little")
+        self._no_left = int.from_bytes(bytes(not lo for lo in lefts), "little")
+        self._no_right = int.from_bytes(bytes(not ro for ro in rights), "little")
+        # options before the contexts that reach them
+        self._steps = [
+            (i, lefts[i], rights[i])
+            for i in sorted(range(size), key=lambda i: birthday(contexts[i]))
+        ]
+        self._rows: dict[GameId, Row] = {}
+
+    def row(self, g: GameId) -> Row:
+        """g's row, solved after the rows of its followers without recursion."""
+        rows = self._rows
+        stack = [g]
+        while stack:
+            x = stack[-1]
+            if x in rows:
+                stack.pop()
+                continue
+            pending = [o for o in options(x) if o not in rows]
+            if pending:
+                stack.extend(pending)
+            else:
+                rows[x] = self._solve(x)
+                stack.pop()
+        return rows[g]
+
+    def _solve(self, g: GameId) -> Row:
+        # Left moving first in g + X wins by a move g^L + X that Right loses
+        # moving first, by a move g + X^L likewise, or by having no move at
+        # all; the first kind is a whole-row operation on the option rows
+        seed_left = self._seed(left_options(g), 1, self._no_left)
+        seed_right = self._seed(right_options(g), 0, self._no_right)
+        wl = bytearray(seed_left.to_bytes(self._size, "little"))
+        wr = bytearray(seed_right.to_bytes(self._size, "little"))
+        for i, lo, ro in self._steps:
+            if not wl[i]:
+                for j in lo:
+                    if not wr[j]:
+                        wl[i] = 1
+                        break
+            if not wr[i]:
+                for j in ro:
+                    if not wl[j]:
+                        wr[i] = 1
+                        break
+        return int.from_bytes(wl, "little"), int.from_bytes(wr, "little")
+
+    def _seed(self, opts: tuple[GameId, ...], reply: int, no_move: int) -> int:
+        """Contexts the mover wins through g: an option whose row loses for the
+        replying side (row index `reply`), or, when g has no option for the
+        mover, the contexts where the mover has no move at all."""
+        if not opts:
+            return no_move
+        reply_wins_all = self._ones
+        for o in opts:
+            reply_wins_all &= self._rows[o][reply]
+        return self._ones ^ reply_wins_all
+
+    def first(
+        self, g: GameId, h: GameId, predicate: Callable[[Row, Row], int]
+    ) -> Optional[int]:
+        """First member index where predicate(row(g), row(h)) sets a byte, or None."""
+        hits = predicate(self.row(g), self.row(h)) & self._member_mask
+        if not hits:
+            return None
+        return ((hits & -hits).bit_length() - 1) >> 3
+
+    def signature(self, g: GameId) -> Row:
+        """g's row restricted to the members: equal exactly when indistinguishable."""
+        left, right = self.row(g)
+        return left & self._member_mask, right & self._member_mask
+
+    def outcome(self, g: GameId, i: int) -> Outcome:
+        """Misere outcome of g plus context i."""
+        left, right = self.row(g)
+        return _outcome_from_wins(bool(left >> 8 * i & 1), bool(right >> 8 * i & 1))
+
+
+def _differ(a: Row, b: Row) -> int:
+    """Contexts where the two outcomes differ."""
+    return (a[0] ^ b[0]) | (a[1] ^ b[1])
+
+
+def _fails_geq(a: Row, b: Row) -> int:
+    """Contexts where a's outcome is not >= b's.
+
+    Those are the contexts where Left wins moving first against b but not
+    against a, or Right wins moving first against a but not against b.
+    """
+    return (b[0] & ~a[0]) | (a[1] & ~b[1])
 
 
 # ---------------------------------------------------------------------------
@@ -323,31 +464,23 @@ OrderVerdict = Union[GeqConsistentUpTo, Refuted, IncomparableWitnessed]
 
 
 def equiv_mod(g: GameId, h: GameId, tests: TestSet) -> Verdict:
-    """Scan the test set for a context with differing misere outcomes."""
-    for x in tests.members:
-        og = outcome_misere_sum(g, x)
-        oh = outcome_misere_sum(h, x)
-        if og != oh:
-            return Distinguished(x, og, oh)
-    return IndistinguishableUpTo(tests.descriptor)
+    """The first context of the test set with differing misere outcomes."""
+    table = tests.table
+    i = table.first(g, h, _differ)
+    if i is None:
+        return IndistinguishableUpTo(tests.descriptor)
+    return Distinguished(tests.members[i], table.outcome(g, i), table.outcome(h, i))
 
 
 def geq_mod(g: GameId, h: GameId, tests: TestSet) -> OrderVerdict:
     """Check o-(g+X) >= o-(h+X) over the test set, also noting the converse."""
-    geq_fail: Optional[GameId] = None
-    leq_fail: Optional[GameId] = None
-    for x in tests.members:
-        og = outcome_misere_sum(g, x)
-        oh = outcome_misere_sum(h, x)
-        if geq_fail is None and not outcome_geq(og, oh):
-            geq_fail = x
-        if leq_fail is None and not outcome_geq(oh, og):
-            leq_fail = x
-        if geq_fail is not None and leq_fail is not None:
-            return IncomparableWitnessed(geq_fail, leq_fail)
+    geq_fail = tests.table.first(g, h, _fails_geq)
     if geq_fail is None:
         return GeqConsistentUpTo(tests.descriptor)
-    return Refuted(geq_fail)
+    leq_fail = tests.table.first(h, g, _fails_geq)
+    if leq_fail is None:
+        return Refuted(tests.members[geq_fail])
+    return IncomparableWitnessed(tests.members[geq_fail], tests.members[leq_fail])
 
 
 def invert_check(g: GameId, tests: TestSet) -> Verdict:
@@ -505,7 +638,10 @@ def quotient_monoid(
 ) -> MonoidReport:
     """Partition bounded generator sums into indistinguishability classes.
 
-    Labels come from the length arithmetic of the generators (positive numbers
+    Sums are indistinguishable over the test set exactly when their outcome
+    signatures over its members agree, so each class is one signature, with
+    the sums in key order and the first of them as representative.  Labels
+    come from the length arithmetic of the generators (positive numbers
     count left moves, negatives right moves, ends reduce to integers), so the
     report exposes whether the quotient really is label addition.
     """
@@ -536,21 +672,20 @@ def quotient_monoid(
             else:
                 sums[s] = label
 
-    classes: list[MonoidClass] = []
+    by_signature: dict[Row, MonoidClass] = {}
     for s in sort_games(sums):
-        placed = False
-        for cls in classes:
-            if isinstance(equiv_mod(s, cls.representative, tests), IndistinguishableUpTo):
-                cls.members.append(s)
-                if sums[s] != cls.label:
-                    consistent = False
-                    notes.append(
-                        f"class with label {cls.label} absorbed a sum labeled {sums[s]}"
-                    )
-                placed = True
-                break
-        if not placed:
-            classes.append(MonoidClass(sums[s], s, [s], outcome_misere(s)))
+        signature = tests.table.signature(s)
+        cls = by_signature.get(signature)
+        if cls is None:
+            by_signature[signature] = MonoidClass(sums[s], s, [s], outcome_misere(s))
+            continue
+        cls.members.append(s)
+        if sums[s] != cls.label:
+            consistent = False
+            notes.append(
+                f"class with label {cls.label} absorbed a sum labeled {sums[s]}"
+            )
+    classes = list(by_signature.values())
     label_list = sorted({cls.label for cls in classes})
     if len(label_list) != len(classes):
         consistent = False

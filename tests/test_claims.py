@@ -44,7 +44,7 @@ def test_composite_witness_is_conjugate_plus_context():
     # composite route must return conj(3/8) + Y for the first Y that the
     # built-sum route finds
     g, h = dyadic_game(-2), dyadic_game(Fraction(3, 8))
-    scan = gen_dead_ending(2, 2).members
+    scan = gen_dead_ending(2, 2)
     pack = Bounds().ladder_pack()
     witness, route = _context_witness(g, h, _fails_geq, scan, pack)
     assert route == "composite"

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -120,6 +121,35 @@ def test_verify_budget_zero_exits_3():
     code, out, _ = run_cli(["verify", "all", "--budget", "0"])
     assert code == 3
     assert "23 skipped" in out
+
+
+def test_back_to_back_calls_match_fresh_parsers():
+    # one process reuses its parser; no flag or subcommand may carry over
+    from deadending.cli import _parser
+
+    sequence = [
+        ["outcome", "1/2", "--normal"],
+        ["outcome", "1/2"],
+        ["outcome", "{.|1}", "--json"],
+        ["lengths", "3/4"],
+        ["compare", "1/2", "3/4", "--closed-form", "integers"],
+        ["compare", "1/2", "3/4", "--closed-form"],
+        ["compare", "1", "1/2", "--tests", "dead-ending:b1:k2", "--json"],
+        ["equiv", "1/2", "1", "--tests", "dead-ending:b1:k2"],
+        ["outcome", "1/2", "--bogus"],
+        ["classify", "*"],
+        ["verify", "lemma:dead-end-outcome", "--b", "2"],
+        ["verify", "lemma:dead-end-outcome"],
+    ]
+    warm = [run_cli(argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        _parser.cache_clear()
+        fresh.append(run_cli(argv))
+    normalize = lambda out: re.sub(r"\d+\.\d\ds|\"duration_ms\": \d+", "", out)
+    for argv, (code, out, err), (fcode, fout, ferr) in zip(sequence, warm, fresh):
+        assert (code, normalize(out), err) == (fcode, normalize(fout), ferr), argv
+    assert warm[0][1].strip() == "L+" and warm[1][1].strip() == "R-"
 
 
 def test_json_envelope_schema():

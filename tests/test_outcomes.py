@@ -97,6 +97,26 @@ def test_pair_search_matches_built_sum_on_scan_contexts():
             assert outcome_misere_sum(g, x) == outcome_misere(add(g, x)), (g, x)
 
 
+def built_normal_geq(g, h):
+    return outcome_normal(add(g, conjugate(h))) in (Outcome.L, Outcome.P)
+
+
+@settings(max_examples=300)
+@given(shapes, shapes)
+def test_normal_geq_matches_built_sum(sa, sb):
+    g, h = build(sa), build(sb)
+    for a, b in ((g, h), (h, g), (g, g), (g, ZERO), (ZERO, h)):
+        assert normal_geq(a, b) == built_normal_geq(a, b), (a, b)
+
+
+def test_normal_geq_matches_built_sum_on_claim_pool():
+    pool = [dyadic_game(l) for l in number_literals(3, 2)]
+    pool += gen_dead_ending(2, 2).members[:40]
+    for g in pool:
+        for h in pool:
+            assert normal_geq(g, h) == built_normal_geq(g, h), (g, h)
+
+
 @settings(max_examples=150)
 @given(shapes)
 def test_conjugation_symmetry(shape):

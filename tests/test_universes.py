@@ -5,25 +5,31 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
 
 from deadending import (
     ZERO,
     NumberLiteral,
     Outcome,
     add,
+    add_all,
     birthday,
     conjugate,
     dyadic_game,
     integer_game,
     intern,
     is_dead_ending,
+    lambda_game,
     left_options,
     number_literals,
+    outcome_geq,
     outcome_misere,
+    outcome_misere_sum,
     right_options,
     star,
 )
-from deadending.games import max_branching
+from deadending.claims import Bounds
+from deadending.games import max_branching, sort_games
 from deadending.universes import (
     BudgetExceededError,
     Comparison,
@@ -47,6 +53,8 @@ from deadending.universes import (
     reduce_end_to_integer,
     witness_contexts,
 )
+
+from strategies import build, shapes
 
 
 def lit(value):
@@ -332,6 +340,150 @@ def test_invert_checks():
     doubled = add(switch, conjugate(switch))
     x = integer_game(2)  # {1 | .}
     assert outcome_misere(add(doubled, x)) != outcome_misere(x)
+
+
+# -- context tables: differentials against scans built on the pair search ----------
+
+SCAN = gen_dead_ending(2, 2)
+LADDERS = Bounds().ladder_pack()
+
+
+def reference_equiv(g, h, tests):
+    for x in tests.members:
+        og, oh = outcome_misere_sum(g, x), outcome_misere_sum(h, x)
+        if og != oh:
+            return Distinguished(x, og, oh)
+    return IndistinguishableUpTo(tests.descriptor)
+
+
+def reference_geq(g, h, tests):
+    geq_fail = leq_fail = None
+    for x in tests.members:
+        og, oh = outcome_misere_sum(g, x), outcome_misere_sum(h, x)
+        if geq_fail is None and not outcome_geq(og, oh):
+            geq_fail = x
+        if leq_fail is None and not outcome_geq(oh, og):
+            leq_fail = x
+        if geq_fail is not None and leq_fail is not None:
+            return IncomparableWitnessed(geq_fail, leq_fail)
+    if geq_fail is None:
+        return GeqConsistentUpTo(tests.descriptor)
+    return Refuted(geq_fail)
+
+
+def row_pool():
+    """Literals, members, composites g + conj(h), and games outside the test set."""
+    literals = [dyadic_game(l) for l in number_literals(3, 2)]
+    composites = [add(g, conjugate(h)) for g in literals[::6] for h in literals[::9]]
+    outside = [
+        integer_game(4),
+        lambda_game(3),
+        intern((), (integer_game(1),)),  # a live left end: not dead-ending
+        intern((star(),), (integer_game(2), ZERO)),
+    ]
+    return literals + list(SCAN.members) + composites + outside
+
+
+def assert_rows_match_pair_search(g, tests):
+    table = tests.table
+    for i, x in enumerate(table.contexts):
+        assert table.outcome(g, i) == outcome_misere_sum(g, x), (g, x)
+
+
+def test_table_contexts_are_members_then_followers():
+    for tests in (SCAN, LADDERS):
+        contexts = tests.table.contexts
+        assert contexts[: len(tests)] == tests.members
+        closure = set(tests.members)
+        for x in tests.members:
+            closure |= set(left_options(x) + right_options(x))
+        assert set(contexts) >= closure
+    assert len(SCAN.table.contexts) == len(SCAN)  # follower-closed already
+    assert integer_game(-1) in LADDERS.table.contexts[len(LADDERS):]
+
+
+@pytest.mark.parametrize("tests", [SCAN, LADDERS], ids=["scan", "ladders"])
+def test_table_rows_match_pair_search(tests):
+    for g in row_pool():
+        assert_rows_match_pair_search(g, tests)
+
+
+@settings(max_examples=100)
+@given(shapes)
+def test_table_rows_match_pair_search_on_random_games(shape):
+    g = build(shape)
+    for tests in (SCAN, LADDERS):
+        assert_rows_match_pair_search(g, tests)
+
+
+@pytest.mark.parametrize(
+    "tests",
+    [SCAN, LADDERS, gen_dead_end_closure(2, 2, 2)],
+    ids=["scan", "ladders", "closure"],
+)
+def test_scans_match_linear_reference(tests):
+    half = dyadic_game(lit("1/2"))
+    pool = [dyadic_game(l) for l in number_literals(2, 1)] + [
+        ZERO,
+        star(),
+        lambda_game(2),
+        intern((integer_game(1),), (integer_game(-1),)),
+        add(half, conjugate(dyadic_game(lit("3/4")))),
+        SCAN.members[40],
+        SCAN.members[90],
+    ]
+    for g in pool:
+        for h in pool:
+            expected = reference_equiv(g, h, tests)
+            assert equiv_mod(g, h, tests) == expected, (g, h)
+            assert geq_mod(g, h, tests) == reference_geq(g, h, tests), (g, h)
+            same = tests.table.signature(g) == tests.table.signature(h)
+            assert same == isinstance(expected, IndistinguishableUpTo), (g, h)
+
+
+def reference_classes(generators, max_terms, tests):
+    """The class loop the signature partition replaced: first matching representative."""
+    gens = sort_games(set(generators))
+    sums = {
+        add_all(combo)
+        for size in range(max_terms + 1)
+        for combo in itertools.combinations_with_replacement(gens, size)
+    }
+    classes = []
+    for s in sort_games(sums):
+        for cls in classes:
+            if isinstance(reference_equiv(s, cls[0], tests), IndistinguishableUpTo):
+                cls.append(s)
+                break
+        else:
+            classes.append([s])
+    return classes
+
+
+@pytest.mark.parametrize(
+    "generators, tests",
+    [
+        (
+            lambda: [integer_game(n) for n in (-1, 0, 1)],
+            lambda: gen_dead_end_closure(2, 2, 2),
+        ),
+        (
+            lambda: [integer_game(n) for n in range(-2, 3)],
+            lambda: gen_dead_end_closure(3, 2, 2),
+        ),
+        (
+            lambda: [dyadic_game(l) for l in number_literals(2, 1, include_zero=True)],
+            lambda: gen_number_closure(2, 1, 2),
+        ),
+    ],
+    ids=["golden", "integers", "dyadics"],
+)
+def test_signature_partition_matches_class_loop(generators, tests):
+    gens, ts = generators(), tests()
+    report = quotient_monoid(gens, 2, ts)
+    expected = reference_classes(gens, 2, ts)
+    assert [cls.members for cls in report.classes] == expected
+    assert [cls.representative for cls in report.classes] == [c[0] for c in expected]
 
 
 # -- closed forms ---------------------------------------------------------------
