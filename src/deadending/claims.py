@@ -13,7 +13,9 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from copy import deepcopy
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 from .games import (
@@ -96,19 +98,10 @@ class Bounds:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "birthday": self.birthday,
-            "options": self.options,
-            "terms": self.terms,
-            "exponent": self.exponent,
-            "magnitude": self.magnitude,
-            "scan_birthday": self.scan_birthday,
-            "struct_exponent": self.struct_exponent,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def dead_ending_tests(self) -> TestSet:
-        return gen_dead_ending(self.scan_birthday, self.options)
+        return self._dead_ending_tests
 
     def closure_tests(self) -> TestSet:
         return gen_dead_end_closure(self.birthday, self.options, self.terms)
@@ -117,6 +110,15 @@ class Bounds:
         return gen_number_closure(self.exponent, self.magnitude, self.terms)
 
     def ladder_pack(self) -> TestSet:
+        return self._ladder_pack
+
+    # built once per Bounds, so that the claims share their context tables
+    @cached_property
+    def _dead_ending_tests(self) -> TestSet:
+        return gen_dead_ending(self.scan_birthday, self.options)
+
+    @cached_property
+    def _ladder_pack(self) -> TestSet:
         size = max(8, 2 * (self.exponent + self.magnitude))
         return TestSet(f"ladders:r{size}:d{size}", tuple(witness_contexts(size, size)))
 
@@ -132,27 +134,11 @@ class ClaimReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "status": self.status,
-            "bounds": self.bounds,
-            "cases": self.cases,
-            "witnesses": self.witnesses,
-            "duration_ms": self.duration_ms,
-            "details": self.details,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClaimReport":
-        return cls(
-            claim=data["claim"],
-            status=data["status"],
-            bounds=dict(data["bounds"]),
-            cases=data["cases"],
-            witnesses=[dict(w) for w in data["witnesses"]],
-            duration_ms=data["duration_ms"],
-            details=dict(data["details"]),
-        )
+        return cls(**deepcopy(data))
 
     def line(self) -> str:
         mark = {"pass": "PASS", "refuted": "FAIL", "skipped": "SKIP"}[self.status]
@@ -525,18 +511,17 @@ def _claim_right_option_length(bounds: Bounds) -> _Check:
     for lit in number_literals(bounds.struct_exponent, bounds.magnitude):
         if lit.is_integer:
             continue
+        # a negative literal is checked through its positive conjugate, whose
+        # right option is the conjugate of the literal's left option
         if lit.numerator > 0:
-            right = lit.right_option()
-            assert right is not None
-            la, lr = lit.left_length(), right.left_length()
-            assert la is not None and lr is not None
-            check.run(lr <= la, dyadic_game(lit), "right option has longer left path")
+            positive, role = lit, "right option has longer left path"
         else:
-            left = lit.left_option()
-            assert left is not None
-            ra, rl = lit.right_length(), left.right_length()
-            assert ra is not None and rl is not None
-            check.run(rl <= ra, dyadic_game(lit), "left option has longer right path")
+            positive, role = lit.conjugated(), "left option has longer right path"
+        right = positive.right_option()
+        assert right is not None
+        la, lr = positive.left_length(), right.left_length()
+        assert la is not None and lr is not None
+        check.run(lr <= la, dyadic_game(lit), role)
         # literal arithmetic must agree with tree search
         g = dyadic_game(lit)
         check.run(
@@ -567,13 +552,7 @@ def _claim_number_collapses(bounds: Bounds) -> _Check:
     check = _Check()
     tests = bounds.number_tests()
     for lit in number_literals(bounds.exponent, bounds.magnitude):
-        if lit.numerator > 0:
-            label = lit.left_length()
-        else:
-            length = lit.right_length()
-            assert length is not None
-            label = -length
-        assert label is not None
+        label = lit.signed_length()
         verdict = equiv_mod(dyadic_game(lit), integer_game(label), tests)
         check.run(
             isinstance(verdict, IndistinguishableUpTo),
@@ -875,19 +854,21 @@ def claim_ids() -> list[str]:
     return list(_REGISTRY)
 
 
-def run_claim(claim: str, bounds: Bounds = Bounds()) -> ClaimReport:
+def run_claim(claim: str, bounds: Optional[Bounds] = None) -> ClaimReport:
     """Run one registered claim checker; unknown ids raise ValueError."""
     checker = _REGISTRY.get(claim)
     if checker is None:
         raise ValueError(f"unknown claim id {claim!r}")
+    bounds = bounds or Bounds()
     started = time.monotonic()
     return checker(bounds).report(claim, bounds, started)
 
 
 def run_all(
-    bounds: Bounds = Bounds(), budget_seconds: Optional[float] = None
+    bounds: Optional[Bounds] = None, budget_seconds: Optional[float] = None
 ) -> list[ClaimReport]:
     """Run every registered claim, skipping the rest once the budget is spent."""
+    bounds = bounds or Bounds()
     reports = []
     started = time.monotonic()
     for claim in _REGISTRY:

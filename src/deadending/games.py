@@ -8,6 +8,12 @@ table are append-only.  Only `intern` takes a lock, so concurrent callers
 never see two ids for one tree; the memo tables are plain dicts whose racing
 writers store the same value.  All functions here are pure in their arguments
 and deterministic.
+
+A node holds its Left options at index 0 and its Right options at index 1.
+Dead ends and lengths each have one implementation taking that side index,
+with one memo keyed (game, side): the Right notion is the Left notion of the
+conjugate, reached without interning the mirror tree.  Recursive helpers use
+plain loops, one interpreter frame per level of the game tree.
 """
 
 from __future__ import annotations
@@ -29,18 +35,15 @@ _conjugate_memo: dict[GameId, GameId] = {}
 _sum_memo: dict[tuple[GameId, GameId], GameId] = {}
 _birthday_memo: dict[GameId, int] = {}
 _followers_memo: dict[GameId, frozenset[GameId]] = {}
-_dead_left_memo: dict[GameId, bool] = {}
-_dead_right_memo: dict[GameId, bool] = {}
+_dead_end_memo: dict[tuple[GameId, int], bool] = {}
 _dead_ending_memo: dict[GameId, bool] = {}
 _dicot_memo: dict[GameId, bool] = {}
-_left_length_memo: dict[GameId, Optional[int]] = {}
-_right_length_memo: dict[GameId, Optional[int]] = {}
+_length_memo: dict[tuple[GameId, int], Optional[int]] = {}
 _branching_memo: dict[GameId, int] = {}
 _struct_key_memo: dict[GameId, tuple] = {}
 _integer_memo: dict[int, GameId] = {}
 _dyadic_memo: dict[tuple[int, int], GameId] = {}
 _lambda_memo: dict[int, GameId] = {}
-_as_integer_memo: dict[GameId, Optional[int]] = {}
 _as_number_memo: dict[GameId, Optional["NumberLiteral"]] = {}
 
 
@@ -138,36 +141,32 @@ class NumberLiteral:
         )
 
     def right_option(self) -> Optional["NumberLiteral"]:
-        if self.exponent == 0:
-            return NumberLiteral(self.numerator + 1, 0) if self.numerator < 0 else None
-        return NumberLiteral.from_value(
-            Fraction(self.numerator + 1, 1 << self.exponent)
-        )
+        option = self.conjugated().left_option()
+        return None if option is None else option.conjugated()
 
     def left_length(self) -> Optional[int]:
-        """Minimum count of consecutive Left moves to zero, or None if unreachable.
-
-        Each Left move clears the lowest set bit of the numerator until the
-        literal is an integer, which then counts down one move at a time:
-        m / 2**j takes (m >> j) + popcount(m mod 2**j) moves.
-        """
-        if self.numerator < 0:
-            return None
-        return _literal_length(self.numerator, self.exponent)
+        """Minimum count of consecutive Left moves to zero, or None if unreachable."""
+        return None if self.numerator < 0 else self.signed_length()
 
     def right_length(self) -> Optional[int]:
-        if self.numerator > 0:
-            return None
-        return _literal_length(-self.numerator, self.exponent)
+        return self.conjugated().left_length()
+
+    def signed_length(self) -> int:
+        """The left length of a literal >= 0, minus the right length of one < 0.
+
+        Each move clears the lowest set bit of the numerator until the literal
+        is an integer, which then counts down one move at a time: m / 2**j
+        takes (|m| >> j) + popcount(|m| mod 2**j) moves.
+        """
+        magnitude = abs(self.numerator)
+        mask = (1 << self.exponent) - 1
+        length = (magnitude >> self.exponent) + (magnitude & mask).bit_count()
+        return -length if self.numerator < 0 else length
 
     def __str__(self) -> str:
         if self.exponent == 0:
             return str(self.numerator)
         return f"{self.numerator}/{1 << self.exponent}"
-
-
-def _literal_length(magnitude: int, exponent: int) -> int:
-    return (magnitude >> exponent) + (magnitude & ((1 << exponent) - 1)).bit_count()
 
 
 def number_literals(
@@ -360,25 +359,28 @@ def is_right_end(g: GameId) -> bool:
     return not _nodes[g][1]
 
 
+def _dead_end(g: GameId, side: int) -> bool:
+    """An end for side (0 Left, 1 Right) whose every follower is one too."""
+    key = (g, side)
+    cached = _dead_end_memo.get(key)
+    if cached is None:
+        node = _nodes[g]
+        cached = not node[side]
+        for o in node[1 - side]:
+            if not cached:
+                break
+            cached = _dead_end(o, side)
+        _dead_end_memo[key] = cached
+    return cached
+
+
 def is_dead_left_end(g: GameId) -> bool:
     """Left end whose every follower is also a left end."""
-    cached = _dead_left_memo.get(g)
-    if cached is None:
-        cached = is_left_end(g) and all(
-            is_dead_left_end(r) for r in right_options(g)
-        )
-        _dead_left_memo[g] = cached
-    return cached
+    return _dead_end(g, 0)
 
 
 def is_dead_right_end(g: GameId) -> bool:
-    cached = _dead_right_memo.get(g)
-    if cached is None:
-        cached = is_right_end(g) and all(
-            is_dead_right_end(l) for l in left_options(g)
-        )
-        _dead_right_memo[g] = cached
-    return cached
+    return _dead_end(g, 1)
 
 
 def is_dead_end(g: GameId) -> bool:
@@ -389,12 +391,13 @@ def is_dead_ending(g: GameId) -> bool:
     """True when every end follower of g is a dead end."""
     cached = _dead_ending_memo.get(g)
     if cached is None:
-        if is_left_end(g) and not is_dead_left_end(g):
-            cached = False
-        elif is_right_end(g) and not is_dead_right_end(g):
-            cached = False
-        else:
-            cached = all(is_dead_ending(o) for o in options(g))
+        node = _nodes[g]
+        # an end for either side must be a dead end for that side
+        cached = all(node[side] or _dead_end(g, side) for side in (0, 1))
+        for o in node[0] + node[1]:
+            if not cached:
+                break
+            cached = is_dead_ending(o)
         _dead_ending_memo[g] = cached
     return cached
 
@@ -414,37 +417,27 @@ def is_dicot(g: GameId) -> bool:
 # lengths
 
 
+def _length(g: GameId, side: int) -> Optional[int]:
+    """Fewest consecutive moves by side (0 Left, 1 Right) from g to zero."""
+    key = (g, side)
+    if key in _length_memo:
+        return _length_memo[key]
+    best: Optional[int] = 0 if g == ZERO else None
+    for option in _nodes[g][side]:
+        sub = _length(option, side)
+        if sub is not None and (best is None or sub + 1 < best):
+            best = sub + 1
+    _length_memo[key] = best
+    return best
+
+
 def left_length(g: GameId) -> Optional[int]:
     """Fewest consecutive Left moves from g to the zero game, None if unreachable."""
-    if g in _left_length_memo:
-        return _left_length_memo[g]
-    if g == ZERO:
-        result: Optional[int] = 0
-    else:
-        best: Optional[int] = None
-        for option in left_options(g):
-            sub = left_length(option)
-            if sub is not None and (best is None or sub + 1 < best):
-                best = sub + 1
-        result = best
-    _left_length_memo[g] = result
-    return result
+    return _length(g, 0)
 
 
 def right_length(g: GameId) -> Optional[int]:
-    if g in _right_length_memo:
-        return _right_length_memo[g]
-    if g == ZERO:
-        result: Optional[int] = 0
-    else:
-        best: Optional[int] = None
-        for option in right_options(g):
-            sub = right_length(option)
-            if sub is not None and (best is None or sub + 1 < best):
-                best = sub + 1
-        result = best
-    _right_length_memo[g] = result
-    return result
+    return _length(g, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -453,22 +446,8 @@ def right_length(g: GameId) -> Optional[int]:
 
 def as_integer(g: GameId) -> Optional[int]:
     """The integer n when g is structurally the canonical-form integer game."""
-    if g in _as_integer_memo:
-        return _as_integer_memo[g]
-    left, right = _nodes[g]
-    result: Optional[int] = None
-    if g == ZERO:
-        result = 0
-    elif not right and len(left) == 1:
-        sub = as_integer(left[0])
-        if sub is not None and sub >= 0:
-            result = sub + 1
-    elif not left and len(right) == 1:
-        sub = as_integer(right[0])
-        if sub is not None and sub <= 0:
-            result = sub - 1
-    _as_integer_memo[g] = result
-    return result
+    literal = as_number(g)
+    return literal.numerator if literal is not None and literal.is_integer else None
 
 
 def _simplest_between(low: Fraction, high: Fraction) -> Fraction:
@@ -500,20 +479,23 @@ def as_number(g: GameId) -> Optional[NumberLiteral]:
     if g in _as_number_memo:
         return _as_number_memo[g]
     result: Optional[NumberLiteral] = None
-    n = as_integer(g)
-    if n is not None:
-        result = NumberLiteral(n, 0)
-    else:
-        left, right = _nodes[g]
-        if len(left) == 1 and len(right) == 1:
-            low = as_number(left[0])
-            high = as_number(right[0])
-            if low is not None and high is not None and low.value < high.value:
-                candidate = NumberLiteral.from_value(
-                    _simplest_between(low.value, high.value)
-                )
-                if dyadic_game(candidate) == g:
-                    result = candidate
+    left, right = _nodes[g]
+    if g == ZERO:
+        result = NumberLiteral(0, 0)
+    elif len(left) + len(right) == 1:
+        step = 1 if left else -1  # n > 0 is {n-1 | }, n < 0 its mirror
+        sub = as_number((left or right)[0])
+        if sub is not None and sub.is_integer and sub.numerator * step >= 0:
+            result = NumberLiteral(sub.numerator + step, 0)
+    elif len(left) == 1 and len(right) == 1:
+        low = as_number(left[0])
+        high = as_number(right[0])
+        if low is not None and high is not None and low.value < high.value:
+            candidate = NumberLiteral.from_value(
+                _simplest_between(low.value, high.value)
+            )
+            if dyadic_game(candidate) == g:
+                result = candidate
     _as_number_memo[g] = result
     return result
 

@@ -1,25 +1,24 @@
 """Outcome solvers and closed-form outcome rules.
 
 The misere solver treats a player with no move as the winner; the normal
-solver treats them as the loser.  Both are exact memoized searches over
-interned positions.  The outcome of a single two-component sum g + h is
-searched over the unordered component pair instead, so that it never interns
-the sum: the memo key is (smaller id, larger id, side to move), a move
-replaces one component with one of its options, and once a component reaches
-zero the search continues in the single-game memo.  The pair search takes the
-terminal rule as a parameter: `outcome_misere_sum` uses the misere rule and
-`normal_geq` the normal one.  Scans of a game against a whole test set read
-the test set's outcome rows (`universes.ContextTable`) instead; the pair
-search is their independent re-check.  The closed forms compute outcomes of
-dead-end sums and number sums arithmetically and never fall back to the
-solver; agreement between the two routes is checked by the verification
-harness.
+solver treats them as the loser.  Both are one exact memoized search over
+the unordered component pair of a sum g + h, so that it never interns the
+sum: the memo key is (smaller id, larger id, side to move) and a move
+replaces one component with one of its options.  A single game g is the pair
+(ZERO, g).  The search takes the terminal rule as a parameter and keeps one
+memo per rule, shared by single games and pairs: `outcome_misere` and
+`outcome_misere_sum` use the misere rule, `outcome_normal` and `normal_geq`
+the normal one.  Scans of a game against a whole test set read the test
+set's outcome rows (`universes.ContextTable`) instead; the pair search is
+their independent re-check.  The closed forms compute outcomes of dead-end
+sums and number sums arithmetically and never fall back to the solver;
+agreement between the two routes is checked by the verification harness.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .games import (
     ZERO,
@@ -51,10 +50,8 @@ _CONJUGATE = {
     Outcome.P: Outcome.P,
 }
 
-_misere_win_memo: dict[tuple[GameId, bool], bool] = {}
-_normal_win_memo: dict[tuple[GameId, bool], bool] = {}
-_misere_pair_memo: dict[tuple[GameId, GameId, bool], bool] = {}
-_normal_pair_memo: dict[tuple[GameId, GameId, bool], bool] = {}
+_misere_memo: dict[tuple[GameId, GameId, bool], bool] = {}
+_normal_memo: dict[tuple[GameId, GameId, bool], bool] = {}
 
 
 def outcome_geq(a: Outcome, b: Outcome) -> bool:
@@ -66,51 +63,30 @@ def conjugate_outcome(o: Outcome) -> Outcome:
     return _CONJUGATE[o]
 
 
-def _wins_moving_first(g: GameId, left_to_move: bool, memo, no_move_wins: bool) -> bool:
-    key = (g, left_to_move)
+def _pair_wins(
+    g: GameId, h: GameId, left_to_move: bool, memo, no_move_wins: bool
+) -> bool:
+    """Does the player to move win g + h?  A single game g is (ZERO, g)."""
+    if g > h:
+        g, h = h, g
+    key = (g, h, left_to_move)
     cached = memo.get(key)
     if cached is not None:
         return cached
-    opts = left_options(g) if left_to_move else right_options(g)
-    if not opts:
-        result = no_move_wins
-    else:
-        result = any(
-            not _wins_moving_first(o, not left_to_move, memo, no_move_wins)
-            for o in opts
-        )
-    memo[key] = result
-    return result
-
-
-def _pair_wins(
-    g: GameId, h: GameId, left_to_move: bool, pair_memo, memo, no_move_wins: bool
-) -> bool:
-    """Does the player to move win g + h?  memo is the single-game memo."""
-    if g > h:
-        g, h = h, g
-    if g == ZERO:
-        return _wins_moving_first(h, left_to_move, memo, no_move_wins)
-    key = (g, h, left_to_move)
-    cached = pair_memo.get(key)
-    if cached is not None:
-        return cached
-    if left_to_move:
-        g_opts, h_opts = left_options(g), left_options(h)
-    else:
-        g_opts, h_opts = right_options(g), right_options(h)
+    mover_options = left_options if left_to_move else right_options
+    g_opts, h_opts = mover_options(g), mover_options(h)
     mover = not left_to_move
     result = no_move_wins and not g_opts and not h_opts
     for o in g_opts:
-        if not _pair_wins(o, h, mover, pair_memo, memo, no_move_wins):
+        if not _pair_wins(o, h, mover, memo, no_move_wins):
             result = True
             break
     else:
         for o in h_opts:
-            if not _pair_wins(g, o, mover, pair_memo, memo, no_move_wins):
+            if not _pair_wins(g, o, mover, memo, no_move_wins):
                 result = True
                 break
-    pair_memo[key] = result
+    memo[key] = result
     return result
 
 
@@ -120,29 +96,26 @@ def _outcome_from_wins(left_wins: bool, right_wins: bool) -> Outcome:
     return Outcome.R if right_wins else Outcome.P
 
 
-def _outcome(g: GameId, memo, no_move_wins: bool) -> Outcome:
+def _outcome(g: GameId, h: GameId, memo, no_move_wins: bool) -> Outcome:
     return _outcome_from_wins(
-        _wins_moving_first(g, True, memo, no_move_wins),
-        _wins_moving_first(g, False, memo, no_move_wins),
+        _pair_wins(g, h, True, memo, no_move_wins),
+        _pair_wins(g, h, False, memo, no_move_wins),
     )
 
 
 def outcome_misere(g: GameId) -> Outcome:
     """Misere outcome class: the first player unable to move wins."""
-    return _outcome(g, _misere_win_memo, True)
+    return _outcome(ZERO, g, _misere_memo, True)
 
 
 def outcome_misere_sum(g: GameId, h: GameId) -> Outcome:
     """Misere outcome class of g + h, searched without building the sum."""
-    return _outcome_from_wins(
-        _pair_wins(g, h, True, _misere_pair_memo, _misere_win_memo, True),
-        _pair_wins(g, h, False, _misere_pair_memo, _misere_win_memo, True),
-    )
+    return _outcome(g, h, _misere_memo, True)
 
 
 def outcome_normal(g: GameId) -> Outcome:
     """Normal outcome class: the first player unable to move loses."""
-    return _outcome(g, _normal_win_memo, False)
+    return _outcome(ZERO, g, _normal_memo, False)
 
 
 def normal_geq(g: GameId, h: GameId) -> bool:
@@ -150,9 +123,7 @@ def normal_geq(g: GameId, h: GameId) -> bool:
 
     Searched over the pair (g, conjugate(h)), so the sum is never built.
     """
-    return not _pair_wins(
-        g, conjugate(h), False, _normal_pair_memo, _normal_win_memo, False
-    )
+    return not _pair_wins(g, conjugate(h), False, _normal_memo, False)
 
 
 def dead_end_sum_outcome(g: GameId, h: GameId) -> Outcome:
@@ -184,14 +155,7 @@ def number_sum_outcome(terms: Iterable[NumberLiteral]) -> Outcome:
     for term in terms:
         if term.is_zero:
             raise ValueError("terms must be nonzero literals")
-        if term.numerator > 0:
-            length: Optional[int] = term.left_length()
-        else:
-            length = term.right_length()
-            assert length is not None
-            length = -length
-        assert length is not None
-        k += length
+        k += term.signed_length()
     if k < 0:
         return Outcome.L
     return Outcome.N if k == 0 else Outcome.R

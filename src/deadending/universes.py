@@ -294,25 +294,42 @@ def gen_dead_ending(
 
 
 def gen_dead_ends(birthday_cap: int, option_cap: int) -> list[GameId]:
-    """All dead ends (left or right) within the bounds, deterministically ordered."""
+    """All dead ends (left or right) within the bounds, deterministically ordered.
+
+    The dead left ends are the conjugates of the dead right ends.  Each day's
+    are conjugated as soon as its right ends are built, so that new games are
+    interned in birthday order.
+    """
     rights: list[GameId] = [ZERO]
-    lefts: list[GameId] = [ZERO]
+    ends = {ZERO}
     for _day in range(birthday_cap):
-        rights_pool = sort_games(rights)
-        seen = set(rights)
-        for sub in _subsets_in_key_order(rights_pool, option_cap):
-            g = intern(tuple(rights_pool[i] for i in sub), ())
-            if g not in seen:
-                seen.add(g)
+        pool = sort_games(rights)
+        for sub in _subsets_in_key_order(pool, option_cap):
+            g = intern(tuple(pool[i] for i in sub), ())
+            if g not in ends:
+                ends.add(g)
                 rights.append(g)
-        lefts_pool = sort_games(lefts)
-        seen = set(lefts)
-        for sub in _subsets_in_key_order(lefts_pool, option_cap):
-            g = intern((), tuple(lefts_pool[i] for i in sub))
+        for g in rights[len(pool):]:
+            ends.add(conjugate(g))
+    return sort_games(ends)
+
+
+def _sum_closure(
+    descriptor: str, games: Sequence[GameId], max_terms: int, member_budget: int
+) -> TestSet:
+    """The distinct sums of up to max_terms of the games, in key order."""
+    total = sum(comb(len(games) + size - 1, size) for size in range(max_terms + 1))
+    if total > member_budget:
+        raise BudgetExceededError(descriptor, total, member_budget)
+    members: list[GameId] = []
+    seen: set[GameId] = set()
+    for size in range(max_terms + 1):
+        for combo in itertools.combinations_with_replacement(games, size):
+            g = add_all(combo)
             if g not in seen:
                 seen.add(g)
-                lefts.append(g)
-    return sort_games(set(rights) | set(lefts))
+                members.append(g)
+    return TestSet(descriptor, tuple(sort_games(members)))
 
 
 def gen_dead_end_closure(
@@ -326,18 +343,7 @@ def gen_dead_end_closure(
         raise ValueError("max_terms must be >= 0")
     descriptor = f"dead-end-closure:b{birthday_cap}:k{option_cap}:t{max_terms}"
     ends = gen_dead_ends(birthday_cap, option_cap)
-    total = sum(comb(len(ends) + size - 1, size) for size in range(max_terms + 1))
-    if total > member_budget:
-        raise BudgetExceededError(descriptor, total, member_budget)
-    members: list[GameId] = []
-    seen: set[GameId] = set()
-    for size in range(max_terms + 1):
-        for combo in itertools.combinations_with_replacement(ends, size):
-            g = add_all(combo)
-            if g not in seen:
-                seen.add(g)
-                members.append(g)
-    return TestSet(descriptor, tuple(sort_games(members)))
+    return _sum_closure(descriptor, ends, max_terms, member_budget)
 
 
 def gen_number_closure(
@@ -348,22 +354,8 @@ def gen_number_closure(
 ) -> TestSet:
     """Sums of up to max_terms canonical numbers within the literal bounds."""
     descriptor = f"numbers:j{max_exponent}:v{max_magnitude}:t{max_terms}"
-    literals = number_literals(max_exponent, max_magnitude)
-    total = sum(
-        comb(len(literals) + size - 1, size) for size in range(max_terms + 1)
-    )
-    if total > member_budget:
-        raise BudgetExceededError(descriptor, total, member_budget)
-    games = [dyadic_game(lit) for lit in literals]
-    members: list[GameId] = []
-    seen: set[GameId] = set()
-    for size in range(max_terms + 1):
-        for combo in itertools.combinations_with_replacement(games, size):
-            g = add_all(combo)
-            if g not in seen:
-                seen.add(g)
-                members.append(g)
-    return TestSet(descriptor, tuple(sort_games(members)))
+    games = [dyadic_game(lit) for lit in number_literals(max_exponent, max_magnitude)]
+    return _sum_closure(descriptor, games, max_terms, member_budget)
 
 
 def generate(descriptor: str, member_budget: int = DEFAULT_MEMBER_BUDGET) -> TestSet:
@@ -509,22 +501,16 @@ def compare_numbers_mod_E(a: NumberLiteral, b: NumberLiteral) -> Comparison:
     """
     if a.value == b.value:
         return Comparison.EQUIVALENT
-    if a.value > 0 and b.value > 0:
-        la, lb = a.left_length(), b.left_length()
-        assert la is not None and lb is not None
-        if a.value > b.value and la <= lb:
-            return Comparison.GREATER
-        if b.value > a.value and lb <= la:
-            return Comparison.LESS
-        return Comparison.INCOMPARABLE
     if a.value < 0 and b.value < 0:
-        ra, rb = a.right_length(), b.right_length()
-        assert ra is not None and rb is not None
-        if a.value > b.value and rb <= ra:
-            return Comparison.GREATER
-        if b.value > a.value and ra <= rb:
-            return Comparison.LESS
+        return compare_numbers_mod_E(b.conjugated(), a.conjugated())
+    if a.value <= 0 or b.value <= 0:
         return Comparison.INCOMPARABLE
+    la, lb = a.left_length(), b.left_length()
+    assert la is not None and lb is not None
+    if a.value > b.value and la <= lb:
+        return Comparison.GREATER
+    if b.value > a.value and lb <= la:
+        return Comparison.LESS
     return Comparison.INCOMPARABLE
 
 
@@ -615,19 +601,11 @@ class MonoidReport:
 
 def _generator_label(g: GameId) -> int:
     lit = as_number(g)
-    if lit is None:
-        if not is_dead_end(g):
-            raise ValueError("generators must be canonical numbers or dead ends")
-        lit = reduce_end_to_integer(g)
-        return lit.numerator
-    if lit.numerator >= 0:
-        length = lit.left_length()
-    else:
-        length = lit.right_length()
-        assert length is not None
-        return -length
-    assert length is not None
-    return length
+    if lit is not None:
+        return lit.signed_length()
+    if not is_dead_end(g):
+        raise ValueError("generators must be canonical numbers or dead ends")
+    return reduce_end_to_integer(g).numerator
 
 
 def quotient_monoid(

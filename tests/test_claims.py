@@ -60,6 +60,25 @@ def test_composite_witness_is_conjugate_plus_context():
     assert _verify_refutation(g, h, witness)
 
 
+def test_bounds_build_scan_test_sets_once():
+    bounds = Bounds(scan_birthday=1)
+    assert bounds.dead_ending_tests() is bounds.dead_ending_tests()
+    assert bounds.ladder_pack() is bounds.ladder_pack()
+    twin = Bounds(scan_birthday=1)
+    assert twin.dead_ending_tests() is not bounds.dead_ending_tests()
+    assert twin == bounds and hash(twin) == hash(bounds)
+    assert bounds.to_dict() == {
+        "birthday": 3,
+        "options": 2,
+        "terms": 3,
+        "exponent": 3,
+        "magnitude": 2,
+        "scan_birthday": 1,
+        "struct_exponent": 6,
+        "seed": 0,
+    }
+
+
 def test_unknown_claim_rejected():
     with pytest.raises(ValueError):
         run_claim("thm:unheard-of")

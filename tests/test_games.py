@@ -35,6 +35,8 @@ from deadending import (
     right_options,
     star,
 )
+from deadending.games import options
+from deadending.universes import gen_dead_ending
 
 
 def lit(value) -> NumberLiteral:
@@ -225,6 +227,103 @@ def test_dead_ending_closed_under_sum(sa, sb):
         assert is_dead_ending(add(a, b))
 
 
+# The hand-mirrored recursions that the side-indexed ones replaced, kept as
+# the reference.
+
+
+def mirrored_dead_left_end(g):
+    return is_left_end(g) and all(mirrored_dead_left_end(r) for r in right_options(g))
+
+
+def mirrored_dead_right_end(g):
+    return is_right_end(g) and all(mirrored_dead_right_end(l) for l in left_options(g))
+
+
+def mirrored_dead_ending(g):
+    if is_left_end(g) and not mirrored_dead_left_end(g):
+        return False
+    if is_right_end(g) and not mirrored_dead_right_end(g):
+        return False
+    return all(mirrored_dead_ending(o) for o in options(g))
+
+
+def mirrored_left_length(g):
+    if g == ZERO:
+        return 0
+    best = None
+    for option in left_options(g):
+        sub = mirrored_left_length(option)
+        if sub is not None and (best is None or sub + 1 < best):
+            best = sub + 1
+    return best
+
+
+def mirrored_right_length(g):
+    if g == ZERO:
+        return 0
+    best = None
+    for option in right_options(g):
+        sub = mirrored_right_length(option)
+        if sub is not None and (best is None or sub + 1 < best):
+            best = sub + 1
+    return best
+
+
+def mirrored_as_integer(g):
+    left, right = left_options(g), right_options(g)
+    if g == ZERO:
+        return 0
+    if not right and len(left) == 1:
+        sub = mirrored_as_integer(left[0])
+        if sub is not None and sub >= 0:
+            return sub + 1
+    elif not left and len(right) == 1:
+        sub = mirrored_as_integer(right[0])
+        if sub is not None and sub <= 0:
+            return sub - 1
+    return None
+
+
+def assert_side_indexed_match_mirrored(g):
+    assert is_dead_left_end(g) == mirrored_dead_left_end(g), g
+    assert is_dead_right_end(g) == mirrored_dead_right_end(g), g
+    assert is_dead_ending(g) == mirrored_dead_ending(g), g
+    assert left_length(g) == mirrored_left_length(g), g
+    assert right_length(g) == mirrored_right_length(g), g
+    assert as_integer(g) == mirrored_as_integer(g), g
+
+
+def test_side_indexed_notions_match_mirrored_on_dead_ending_b2_k2():
+    members = gen_dead_ending(2, 2).members
+    assert len(members) == 107
+    extra = [integer_game(n) for n in range(-6, 7)]
+    extra += [dyadic_game(l) for l in number_literals(3, 2)]
+    extra += [intern((), (integer_game(1),)), intern((integer_game(-1),), ())]
+    for g in members + tuple(extra):
+        assert_side_indexed_match_mirrored(g)
+
+
+@settings(max_examples=200)
+@given(shapes)
+def test_side_indexed_notions_match_mirrored_on_random_games(shape):
+    g = build(shape)
+    assert_side_indexed_match_mirrored(g)
+    assert_side_indexed_match_mirrored(conjugate(g))
+
+
+def test_side_indexed_recursions_reach_800_levels():
+    # built with intern in a loop: conjugate and add still recurse
+    up = down = ZERO
+    for _ in range(800):
+        up = intern((up,), ())  # {up | }
+        down = intern((), (down,))  # { | down}
+    assert is_dead_right_end(up) and not is_dead_left_end(up)
+    assert is_dead_left_end(down) and not is_dead_right_end(down)
+    assert (left_length(up), right_length(up)) == (800, None)
+    assert (left_length(down), right_length(down)) == (None, 800)
+    assert is_dead_ending(up) and is_dead_ending(down)
+
+
 # -- lengths ------------------------------------------------------------------
 
 
@@ -303,6 +402,29 @@ def test_literal_lengths_of_deep_integers():
     assert NumberLiteral(5000, 0).right_length() is None
     assert NumberLiteral(-5000, 0).right_length() == 5000
     assert NumberLiteral(-4095, 12).right_length() == 12
+
+
+def test_right_option_is_the_next_dyadic_up():
+    for literal in number_literals(8, 6, include_zero=True):
+        m, j = literal.numerator, literal.exponent
+        if literal.is_integer:
+            expected = NumberLiteral(m + 1, 0) if m < 0 else None
+        else:
+            expected = NumberLiteral.from_value(Fraction(m + 1, 1 << j))
+        assert literal.right_option() == expected, literal
+
+
+def test_signed_length_is_left_or_minus_right_length():
+    for literal in number_literals(8, 6, include_zero=True):
+        if literal.numerator >= 0:
+            expected = _walked_length(literal, NumberLiteral.left_option)
+        else:
+            expected = -_walked_length(literal, NumberLiteral.right_option)
+        assert literal.signed_length() == expected, literal
+    for literal in number_literals(3, 2, include_zero=True):
+        game = dyadic_game(literal)
+        tree = left_length(game) if literal.numerator >= 0 else -right_length(game)
+        assert literal.signed_length() == tree, literal
 
 
 def test_dyadic_option_structure():

@@ -23,6 +23,7 @@ from deadending import (
     is_dead_right_end,
     is_left_end,
     lambda_game,
+    left_options,
     normal_geq,
     number_literals,
     number_sum_outcome,
@@ -30,6 +31,7 @@ from deadending import (
     outcome_misere,
     outcome_misere_sum,
     outcome_normal,
+    right_options,
     star,
 )
 from deadending.universes import gen_dead_ending, gen_dead_ends, witness_contexts
@@ -115,6 +117,75 @@ def test_normal_geq_matches_built_sum_on_claim_pool():
     for g in pool:
         for h in pool:
             assert normal_geq(g, h) == built_normal_geq(g, h), (g, h)
+
+
+# The single-game search that the pair search (ZERO, g) replaced, kept as
+# the reference.
+
+
+def single_wins_moving_first(g, left_to_move, memo, no_move_wins):
+    key = (g, left_to_move)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    opts = left_options(g) if left_to_move else right_options(g)
+    if not opts:
+        result = no_move_wins
+    else:
+        result = any(
+            not single_wins_moving_first(o, not left_to_move, memo, no_move_wins)
+            for o in opts
+        )
+    memo[key] = result
+    return result
+
+
+WINS_TO_OUTCOME = {
+    (True, True): Outcome.N,
+    (True, False): Outcome.L,
+    (False, True): Outcome.R,
+    (False, False): Outcome.P,
+}
+
+
+def single_outcome(g, memo, no_move_wins):
+    return WINS_TO_OUTCOME[
+        single_wins_moving_first(g, True, memo, no_move_wins),
+        single_wins_moving_first(g, False, memo, no_move_wins),
+    ]
+
+
+def assert_solvers_match_single_search(games):
+    misere_memo, normal_memo = {}, {}
+    for g in games:
+        assert outcome_misere(g) == single_outcome(g, misere_memo, True), g
+        assert outcome_normal(g) == single_outcome(g, normal_memo, False), g
+
+
+def test_solvers_match_single_search_on_dead_ending_b2_k2():
+    members = gen_dead_ending(2, 2).members
+    sums = [add(g, h) for g in members[:30] for h in members[:30]]
+    assert_solvers_match_single_search(members + tuple(sums))
+
+
+@settings(max_examples=200)
+@given(shapes)
+def test_solvers_match_single_search_on_random_games(shape):
+    g = build(shape)
+    assert_solvers_match_single_search([g, conjugate(g)])
+
+
+def test_solvers_reach_800_levels():
+    # {g | g} from zero alternates P and N under normal play, N and P under
+    # misere play; built with intern in a loop, since conjugate and add recurse
+    g = ZERO
+    for _ in range(800):
+        g = intern((g,), (g,))
+    assert outcome_misere(g) == Outcome.N
+    assert outcome_normal(g) == Outcome.P
+    odd = intern((g,), (g,))
+    assert outcome_misere(odd) == Outcome.P
+    assert outcome_normal(odd) == Outcome.N
 
 
 @settings(max_examples=150)

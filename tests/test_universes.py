@@ -182,6 +182,38 @@ def test_dead_ends_match_manual_count():
     assert len(ends) == 21  # zero counted once
 
 
+def mirrored_gen_dead_ends(birthday_cap, option_cap):
+    """The two-loop generator that building left ends by conjugation replaced."""
+    rights = [ZERO]
+    lefts = [ZERO]
+    subsets = lambda pool: (
+        sub
+        for size in range(1, option_cap + 1)
+        for sub in itertools.combinations(range(len(pool)), size)
+    )
+    for _day in range(birthday_cap):
+        rights_pool = sort_games(rights)
+        seen = set(rights)
+        for sub in subsets(rights_pool):
+            g = intern(tuple(rights_pool[i] for i in sub), ())
+            if g not in seen:
+                seen.add(g)
+                rights.append(g)
+        lefts_pool = sort_games(lefts)
+        seen = set(lefts)
+        for sub in subsets(lefts_pool):
+            g = intern((), tuple(lefts_pool[i] for i in sub))
+            if g not in seen:
+                seen.add(g)
+                lefts.append(g)
+    return sort_games(set(rights) | set(lefts))
+
+
+@pytest.mark.parametrize("bounds", [(2, 1), (2, 2), (3, 2)])
+def test_dead_ends_match_mirrored_generator(bounds):
+    assert gen_dead_ends(*bounds) == mirrored_gen_dead_ends(*bounds)
+
+
 def test_closure_with_single_term_is_ends():
     assert set(gen_dead_end_closure(2, 2, 1).members) == set(gen_dead_ends(2, 2))
 
@@ -501,6 +533,35 @@ def test_compare_numbers_examples():
     assert compare_numbers_mod_E(lit(-1), lit("-3/4")) == Comparison.LESS
     assert compare_numbers_mod_E(lit("1/2"), lit("-1/2")) == Comparison.INCOMPARABLE
     assert compare_numbers_mod_E(lit(0), lit("1/2")) == Comparison.INCOMPARABLE
+
+
+def mirrored_compare_numbers(a, b):
+    """The hand-mirrored comparison that the conjugated negative branch replaced."""
+    if a.value == b.value:
+        return Comparison.EQUIVALENT
+    if a.value > 0 and b.value > 0:
+        la, lb = a.left_length(), b.left_length()
+        if a.value > b.value and la <= lb:
+            return Comparison.GREATER
+        if b.value > a.value and lb <= la:
+            return Comparison.LESS
+        return Comparison.INCOMPARABLE
+    if a.value < 0 and b.value < 0:
+        ra, rb = a.right_length(), b.right_length()
+        if a.value > b.value and rb <= ra:
+            return Comparison.GREATER
+        if b.value > a.value and ra <= rb:
+            return Comparison.LESS
+        return Comparison.INCOMPARABLE
+    return Comparison.INCOMPARABLE
+
+
+def test_compare_numbers_matches_mirrored_branches():
+    literals = number_literals(4, 2, include_zero=True)
+    assert len(literals) == 65
+    for a in literals:
+        for b in literals:
+            assert compare_numbers_mod_E(a, b) == mirrored_compare_numbers(a, b), (a, b)
 
 
 def test_compare_integers_examples():
