@@ -766,15 +766,11 @@ def _claim_non_invertible_family(bounds: Bounds) -> _Check:
 
 
 def _zero_family_hypothesis(g: GameId) -> bool:
-    if not is_dead_ending(g):
-        return False
-    for gl in left_options(g):
-        if not is_left_end(gl) or ZERO not in right_options(gl):
-            return False
-    for gr in right_options(g):
-        if not is_right_end(gr) or ZERO not in left_options(gr):
-            return False
-    return True
+    """Dead-ending, each g^L a left end with a Right move to 0, and mirrored."""
+    sides = (left_options, right_options)
+    return is_dead_ending(g) and all(
+        not sides[s](o) and ZERO in sides[1 - s](o) for s in (0, 1) for o in sides[s](g)
+    )
 
 
 def _claim_zero_family(bounds: Bounds) -> _Check:

@@ -446,7 +446,8 @@ def right_length(g: GameId) -> Optional[int]:
 
 def as_integer(g: GameId) -> Optional[int]:
     """The integer n when g is structurally the canonical-form integer game."""
-    literal = as_number(g)
+    # integers are zero or one-sided chains, on which as_number builds no game
+    literal = as_number(g) if sum(map(len, _nodes[g])) <= 1 else None
     return literal.numerator if literal is not None and literal.is_integer else None
 
 
@@ -484,7 +485,8 @@ def as_number(g: GameId) -> Optional[NumberLiteral]:
         result = NumberLiteral(0, 0)
     elif len(left) + len(right) == 1:
         step = 1 if left else -1  # n > 0 is {n-1 | }, n < 0 its mirror
-        sub = as_number((left or right)[0])
+        child = (left or right)[0]  # zero or one-sided, so no dyadic_game below
+        sub = as_number(child) if sum(map(len, _nodes[child])) <= 1 else None
         if sub is not None and sub.is_integer and sub.numerator * step >= 0:
             result = NumberLiteral(sub.numerator + step, 0)
     elif len(left) == 1 and len(right) == 1:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import comb
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .games import (
     ZERO,
@@ -53,6 +53,8 @@ from .games import (
 from .outcomes import Outcome, _outcome_from_wins, outcome_misere
 
 DEFAULT_MEMBER_BUDGET = 500_000
+
+T = TypeVar("T")
 
 
 class BudgetExceededError(RuntimeError):
@@ -315,12 +317,20 @@ def gen_dead_ends(birthday_cap: int, option_cap: int) -> list[GameId]:
 
 
 def _sum_closure(
-    descriptor: str, games: Sequence[GameId], max_terms: int, member_budget: int
+    descriptor: str,
+    items: Sequence[T],
+    game: Callable[[T], GameId],
+    max_terms: int,
+    member_budget: int,
 ) -> TestSet:
-    """The distinct sums of up to max_terms of the games, in key order."""
-    total = sum(comb(len(games) + size - 1, size) for size in range(max_terms + 1))
+    """The distinct sums of up to max_terms of the items' games, in key order.
+
+    The budget is checked first, so a refused descriptor interns no node.
+    """
+    total = sum(comb(len(items) + size - 1, size) for size in range(max_terms + 1))
     if total > member_budget:
         raise BudgetExceededError(descriptor, total, member_budget)
+    games = [game(item) for item in items]
     members: list[GameId] = []
     seen: set[GameId] = set()
     for size in range(max_terms + 1):
@@ -343,7 +353,7 @@ def gen_dead_end_closure(
         raise ValueError("max_terms must be >= 0")
     descriptor = f"dead-end-closure:b{birthday_cap}:k{option_cap}:t{max_terms}"
     ends = gen_dead_ends(birthday_cap, option_cap)
-    return _sum_closure(descriptor, ends, max_terms, member_budget)
+    return _sum_closure(descriptor, ends, lambda g: g, max_terms, member_budget)
 
 
 def gen_number_closure(
@@ -354,8 +364,8 @@ def gen_number_closure(
 ) -> TestSet:
     """Sums of up to max_terms canonical numbers within the literal bounds."""
     descriptor = f"numbers:j{max_exponent}:v{max_magnitude}:t{max_terms}"
-    games = [dyadic_game(lit) for lit in number_literals(max_exponent, max_magnitude)]
-    return _sum_closure(descriptor, games, max_terms, member_budget)
+    literals = number_literals(max_exponent, max_magnitude)
+    return _sum_closure(descriptor, literals, dyadic_game, max_terms, member_budget)
 
 
 def generate(descriptor: str, member_budget: int = DEFAULT_MEMBER_BUDGET) -> TestSet:

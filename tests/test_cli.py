@@ -93,6 +93,12 @@ def test_universe_count_and_budget():
     assert code == 3 and "33385305" in err
 
 
+def test_universe_number_closure_over_budget_exits_3():
+    # refused on the literal count, before integer_game(-2000) is built
+    code, _, err = run_cli(["universe", "numbers:j0:v2000:t2"])
+    assert code == 3 and "8006001" in err
+
+
 def test_parse_error_is_usage_error():
     code, _, err = run_cli(["outcome", "3/6"])
     assert code == 2 and "power of two" in err

@@ -35,6 +35,7 @@ from deadending import (
     right_options,
     star,
 )
+from deadending import games
 from deadending.games import options
 from deadending.universes import gen_dead_ending
 
@@ -451,6 +452,18 @@ def test_recognizers():
     assert as_number(star()) is None
     assert as_lambda(lambda_game(4)) == 4
     assert as_lambda(star()) is None
+
+
+def test_integer_recognizer_builds_no_game(monkeypatch):
+    # a two-sided node, or a one-sided node over one, is never an integer; the
+    # integer test rejects it without as_number's dyadic_game lookup
+    gap = intern((integer_game(7),), (integer_game(19),))
+    monkeypatch.setattr(games, "dyadic_game", lambda a: pytest.fail(f"built {a}"))
+    assert as_integer(gap) is None
+    assert as_integer(intern((gap,), ())) is None
+    assert as_integer(intern((), (gap,))) is None
+    assert as_integer(intern((integer_game(-3),), ())) is None
+    assert as_integer(intern((), (integer_game(-3),))) == -4
 
 
 @settings(max_examples=100)

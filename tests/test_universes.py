@@ -29,7 +29,7 @@ from deadending import (
     star,
 )
 from deadending.claims import Bounds
-from deadending.games import max_branching, sort_games
+from deadending.games import max_branching, sort_games, store_size
 from deadending.universes import (
     BudgetExceededError,
     Comparison,
@@ -154,6 +154,18 @@ def test_gen_dead_ending_budget_error_names_exact_size():
         gen_dead_ending(3, 2)
     assert err.value.needed == expected == 33385305
     assert "dead-ending:b3:k2" in str(err.value)
+
+
+@pytest.mark.parametrize("descriptor", ["numbers:j0:v2000:t2", "numbers:j14:v8:t3"])
+def test_number_closure_over_budget_builds_no_game(descriptor):
+    # the budget is checked on the literals before any number game is built:
+    # integer_game(-2000) alone would overflow the stack, and j14 would intern
+    # tens of thousands of dyadic games before the refusal
+    before = store_size()
+    with pytest.raises(BudgetExceededError) as err:
+        generate(descriptor)
+    assert err.value.descriptor == descriptor
+    assert store_size() == before
 
 
 def test_gen_dead_ending_capped_prefix():
