@@ -156,11 +156,11 @@ def test_gen_dead_ending_budget_error_names_exact_size():
     assert "dead-ending:b3:k2" in str(err.value)
 
 
-@pytest.mark.parametrize("descriptor", ["numbers:j0:v2000:t2", "numbers:j14:v8:t3"])
+@pytest.mark.parametrize("descriptor", ["numbers:j0:v2000:t2", "numbers:j10:v8:t3"])
 def test_number_closure_over_budget_builds_no_game(descriptor):
     # the budget is checked on the literals before any number game is built:
-    # integer_game(-2000) alone would overflow the stack, and j14 would intern
-    # tens of thousands of dyadic games before the refusal
+    # integer_game(-2000) alone would overflow the stack, and j10 would intern
+    # thousands of dyadic games before the refusal
     before = store_size()
     with pytest.raises(BudgetExceededError) as err:
         generate(descriptor)
