@@ -97,6 +97,11 @@ class Bounds:
     struct_exponent: int = 6
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name, value in self.to_dict().items():
+            if name != "seed" and value < 0:
+                raise ValueError(f"bound {name} must be >= 0, got {value}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -92,16 +92,21 @@ class _Emitter:
         return code
 
 
+# verify's flag for each Bounds field it sets; the defaults are Bounds' own
+_BOUND_FLAGS = {
+    "b": ("birthday", "birthday cap for ends/closures"),
+    "k": ("options", "per-side option cap"),
+    "t": ("terms", "summand cap"),
+    "j": ("exponent", "number exponent cap"),
+    "v": ("magnitude", "number magnitude cap"),
+    "eb": ("scan_birthday", "birthday cap for dead-ending context scans"),
+    "seed": ("seed", "seed for sampled checks"),
+}
+
+
 def _bounds_from(ns: argparse.Namespace) -> Bounds:
-    return Bounds(
-        birthday=ns.b,
-        options=ns.k,
-        terms=ns.t,
-        exponent=ns.j,
-        magnitude=ns.v,
-        scan_birthday=ns.eb,
-        seed=ns.seed,
-    )
+    fields = {name: getattr(ns, flag) for flag, (name, _) in _BOUND_FLAGS.items()}
+    return Bounds(**fields)
 
 
 def _outcome_text(game: GameId, normal: bool) -> str:
@@ -399,16 +404,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = with_json(sub.add_parser("verify", help="run claim checks"))
     p.add_argument("claim", help="a claim id or 'all'")
-    p.add_argument("--b", type=int, default=3, help="birthday cap for ends/closures")
-    p.add_argument("--k", type=int, default=2, help="per-side option cap")
-    p.add_argument("--t", type=int, default=3, help="summand cap")
-    p.add_argument("--j", type=int, default=3, help="number exponent cap")
-    p.add_argument("--v", type=int, default=2, help="number magnitude cap")
-    p.add_argument(
-        "--eb", type=int, default=2, help="birthday cap for dead-ending context scans"
-    )
+    for flag, (name, text) in _BOUND_FLAGS.items():
+        p.add_argument(f"--{flag}", type=int, default=getattr(Bounds, name), help=text)
     p.add_argument("--budget", type=float, default=None, help="wall-clock seconds")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     p.set_defaults(func=_cmd_verify)
 
     return parser

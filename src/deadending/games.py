@@ -14,6 +14,10 @@ Dead ends and lengths each have one implementation taking that side index,
 with one memo keyed (game, side): the Right notion is the Left notion of the
 conjugate, reached without interning the mirror tree.  Recursive helpers use
 plain loops, one interpreter frame per level of the game tree.
+
+The recognizers (`as_number`, `as_integer`, `as_lambda`) read the node table
+only: they call no constructor and never intern, so naming a position never
+grows the store.
 """
 
 from __future__ import annotations
@@ -446,37 +450,18 @@ def right_length(g: GameId) -> Optional[int]:
 
 def as_integer(g: GameId) -> Optional[int]:
     """The integer n when g is structurally the canonical-form integer game."""
-    # integers are zero or one-sided chains, on which as_number builds no game
-    literal = as_number(g) if sum(map(len, _nodes[g])) <= 1 else None
+    literal = as_number(g)
     return literal.numerator if literal is not None and literal.is_integer else None
 
 
-def _simplest_between(low: Fraction, high: Fraction) -> Fraction:
-    """The dyadic rational of least birthday strictly between low and high."""
-    assert low < high
-    if low < 0 < high:
-        return Fraction(0)
-    if low >= 0:
-        candidate = Fraction(int(low) + 1)
-        if candidate < high:
-            return candidate
-    else:
-        candidate = Fraction(int(high) - 1)
-        if candidate > low:
-            return candidate
-    exponent = 1
-    while True:
-        scale = 1 << exponent
-        numerator = int(low * scale) + 1
-        if Fraction(numerator, scale) <= low:
-            numerator += 1
-        if Fraction(numerator, scale) < high:
-            return Fraction(numerator, scale)
-        exponent += 1
-
-
 def as_number(g: GameId) -> Optional[NumberLiteral]:
-    """The literal a when g is structurally the canonical-form number game for a."""
+    """The literal a when g is structurally the canonical-form number game for a.
+
+    A non-integer m / 2**j is { (m-1)/2**j | (m+1)/2**j }, so its value is the
+    mean of its two options' values, and g names that mean exactly when the
+    mean's own options are g's.  An integer mean lacks an option on one side,
+    so it never matches a node with one option on each.
+    """
     if g in _as_number_memo:
         return _as_number_memo[g]
     result: Optional[NumberLiteral] = None
@@ -485,29 +470,28 @@ def as_number(g: GameId) -> Optional[NumberLiteral]:
         result = NumberLiteral(0, 0)
     elif len(left) + len(right) == 1:
         step = 1 if left else -1  # n > 0 is {n-1 | }, n < 0 its mirror
-        child = (left or right)[0]  # zero or one-sided, so no dyadic_game below
-        sub = as_number(child) if sum(map(len, _nodes[child])) <= 1 else None
+        sub = as_number((left or right)[0])
         if sub is not None and sub.is_integer and sub.numerator * step >= 0:
             result = NumberLiteral(sub.numerator + step, 0)
     elif len(left) == 1 and len(right) == 1:
         low = as_number(left[0])
         high = as_number(right[0])
-        if low is not None and high is not None and low.value < high.value:
-            candidate = NumberLiteral.from_value(
-                _simplest_between(low.value, high.value)
-            )
-            if dyadic_game(candidate) == g:
-                result = candidate
+        if low is not None and high is not None:
+            mean = NumberLiteral.from_value((low.value + high.value) / 2)
+            if (mean.left_option(), mean.right_option()) == (low, high):
+                result = mean
     _as_number_memo[g] = result
     return result
 
 
 def as_lambda(g: GameId) -> Optional[int]:
     """The index k when g is structurally the k-rung ladder game."""
-    left, right = _nodes[g]
-    if left != (ZERO,) or len(right) != 1:
-        return None
-    if right[0] == integer_game(-1):
-        return 1
-    sub = as_lambda(right[0])
-    return sub + 1 if sub is not None else None
+    k = 0
+    while True:
+        left, right = _nodes[g]
+        if left != (ZERO,) or len(right) != 1:
+            return None
+        k += 1
+        g = right[0]
+        if _nodes[g] == ((), (ZERO,)):  # the rung's drop, -1
+            return k

@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Union
 
 from .games import (
+    ZERO,
     GameId,
     NumberLiteral,
     add_all,
@@ -291,7 +292,7 @@ def render(g: GameId, depth: int = 6) -> str:
 
     Named positions (numbers, ladders, star) print as their literal names at
     any depth; round-tripping through parse is exact whenever nothing was
-    elided.
+    elided.  Like the recognizers it reads, rendering builds no game.
     """
     literal = as_number(g)
     if literal is not None:
@@ -299,7 +300,7 @@ def render(g: GameId, depth: int = 6) -> str:
     k = as_lambda(g)
     if k is not None:
         return f"lambda({k})"
-    if g == star():
+    if left_options(g) == (ZERO,) == right_options(g):
         return "*"
     if depth <= 0:
         return ELLIPSIS_MARK

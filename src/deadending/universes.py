@@ -221,12 +221,6 @@ def _subset_count(n: int, max_size: int) -> int:
     return sum(comb(n, size) for size in range(1, max_size + 1))
 
 
-def _subsets_in_key_order(pool: Sequence[GameId], max_size: int):
-    """Nonempty index combinations of the key-sorted pool, smallest keys first."""
-    for size in range(1, max_size + 1):
-        yield from itertools.combinations(range(len(pool)), size)
-
-
 def _day_candidates(pool: list[GameId], option_cap: int) -> Iterator[GameId]:
     """Candidate games whose options come from pool, in width-major key order."""
     by_size: dict[int, list[tuple[int, ...]]] = {0: [()]}
@@ -247,7 +241,6 @@ def gen_dead_ending(
     birthday_cap: int,
     option_cap: int,
     cap: Optional[int] = None,
-    member_budget: int = DEFAULT_MEMBER_BUDGET,
 ) -> TestSet:
     """Every dead-ending game of bounded birthday and option width.
 
@@ -264,7 +257,7 @@ def gen_dead_ending(
     descriptor = f"dead-ending:b{birthday_cap}:k{option_cap}"
     if cap is not None:
         descriptor += f":cap{cap}"
-    limit = cap if cap is not None else member_budget
+    limit = cap if cap is not None else DEFAULT_MEMBER_BUDGET
     members: list[GameId] = [ZERO]
     seen = {ZERO}
     for _day in range(1, birthday_cap + 1):
@@ -280,8 +273,8 @@ def gen_dead_ending(
                 + _subset_count(dead_right, option_cap)
                 + 1
             )
-            if projected > member_budget:
-                raise BudgetExceededError(descriptor, projected, member_budget)
+            if projected > DEFAULT_MEMBER_BUDGET:
+                raise BudgetExceededError(descriptor, projected, DEFAULT_MEMBER_BUDGET)
         for candidate in _day_candidates(pool, option_cap):
             if candidate in seen:
                 continue
@@ -306,11 +299,12 @@ def gen_dead_ends(birthday_cap: int, option_cap: int) -> list[GameId]:
     ends = {ZERO}
     for _day in range(birthday_cap):
         pool = sort_games(rights)
-        for sub in _subsets_in_key_order(pool, option_cap):
-            g = intern(tuple(pool[i] for i in sub), ())
-            if g not in ends:
-                ends.add(g)
-                rights.append(g)
+        for size in range(1, option_cap + 1):
+            for sub in itertools.combinations(pool, size):
+                g = intern(sub, ())
+                if g not in ends:
+                    ends.add(g)
+                    rights.append(g)
         for g in rights[len(pool):]:
             ends.add(conjugate(g))
     return sort_games(ends)
@@ -321,15 +315,14 @@ def _sum_closure(
     items: Sequence[T],
     game: Callable[[T], GameId],
     max_terms: int,
-    member_budget: int,
 ) -> TestSet:
     """The distinct sums of up to max_terms of the items' games, in key order.
 
     The budget is checked first, so a refused descriptor interns no node.
     """
     total = sum(comb(len(items) + size - 1, size) for size in range(max_terms + 1))
-    if total > member_budget:
-        raise BudgetExceededError(descriptor, total, member_budget)
+    if total > DEFAULT_MEMBER_BUDGET:
+        raise BudgetExceededError(descriptor, total, DEFAULT_MEMBER_BUDGET)
     games = [game(item) for item in items]
     members: list[GameId] = []
     seen: set[GameId] = set()
@@ -342,33 +335,25 @@ def _sum_closure(
     return TestSet(descriptor, tuple(sort_games(members)))
 
 
-def gen_dead_end_closure(
-    birthday_cap: int,
-    option_cap: int,
-    max_terms: int,
-    member_budget: int = DEFAULT_MEMBER_BUDGET,
-) -> TestSet:
+def gen_dead_end_closure(birthday_cap: int, option_cap: int, max_terms: int) -> TestSet:
     """Sums of up to max_terms dead ends, each within the structural bounds."""
     if max_terms < 0:
         raise ValueError("max_terms must be >= 0")
     descriptor = f"dead-end-closure:b{birthday_cap}:k{option_cap}:t{max_terms}"
     ends = gen_dead_ends(birthday_cap, option_cap)
-    return _sum_closure(descriptor, ends, lambda g: g, max_terms, member_budget)
+    return _sum_closure(descriptor, ends, lambda g: g, max_terms)
 
 
 def gen_number_closure(
-    max_exponent: int,
-    max_magnitude: int,
-    max_terms: int,
-    member_budget: int = DEFAULT_MEMBER_BUDGET,
+    max_exponent: int, max_magnitude: int, max_terms: int
 ) -> TestSet:
     """Sums of up to max_terms canonical numbers within the literal bounds."""
     descriptor = f"numbers:j{max_exponent}:v{max_magnitude}:t{max_terms}"
     literals = number_literals(max_exponent, max_magnitude)
-    return _sum_closure(descriptor, literals, dyadic_game, max_terms, member_budget)
+    return _sum_closure(descriptor, literals, dyadic_game, max_terms)
 
 
-def generate(descriptor: str, member_budget: int = DEFAULT_MEMBER_BUDGET) -> TestSet:
+def generate(descriptor: str) -> TestSet:
     """Materialize a test set from its descriptor string."""
     fields = descriptor.split(":")
     kind = fields[0]
@@ -380,22 +365,14 @@ def generate(descriptor: str, member_budget: int = DEFAULT_MEMBER_BUDGET) -> Tes
 
     if kind == "dead-ending" and len(fields) in (3, 4):
         cap = value(fields[3], "cap") if len(fields) == 4 else None
-        return gen_dead_ending(
-            value(fields[1], "b"), value(fields[2], "k"), cap, member_budget
-        )
+        return gen_dead_ending(value(fields[1], "b"), value(fields[2], "k"), cap)
     if kind == "dead-end-closure" and len(fields) == 4:
         return gen_dead_end_closure(
-            value(fields[1], "b"),
-            value(fields[2], "k"),
-            value(fields[3], "t"),
-            member_budget,
+            value(fields[1], "b"), value(fields[2], "k"), value(fields[3], "t")
         )
     if kind == "numbers" and len(fields) == 4:
         return gen_number_closure(
-            value(fields[1], "j"),
-            value(fields[2], "v"),
-            value(fields[3], "t"),
-            member_budget,
+            value(fields[1], "j"), value(fields[2], "v"), value(fields[3], "t")
         )
     raise ValueError(f"unrecognized test set descriptor {descriptor!r}")
 
@@ -622,7 +599,6 @@ def quotient_monoid(
     generators: Iterable[GameId],
     max_terms: int,
     tests: TestSet,
-    member_budget: int = DEFAULT_MEMBER_BUDGET,
 ) -> MonoidReport:
     """Partition bounded generator sums into indistinguishability classes.
 
@@ -633,6 +609,8 @@ def quotient_monoid(
     count left moves, negatives right moves, ends reduce to integers), so the
     report exposes whether the quotient really is label addition.
     """
+    if max_terms < 0:
+        raise ValueError("max_terms must be >= 0")
     gens = sort_games(set(generators))
     if not gens:
         raise ValueError("at least one generator required")
@@ -641,8 +619,10 @@ def quotient_monoid(
             raise ValueError("generator set must be closed under conjugation")
     labels = {g: _generator_label(g) for g in gens}
     total = sum(comb(len(gens) + size - 1, size) for size in range(max_terms + 1))
-    if total > member_budget:
-        raise BudgetExceededError("monoid generator sums", total, member_budget)
+    if total > DEFAULT_MEMBER_BUDGET:
+        raise BudgetExceededError(
+            "monoid generator sums", total, DEFAULT_MEMBER_BUDGET
+        )
 
     notes: list[str] = []
     consistent = True

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -10,6 +11,7 @@ import sys
 
 import pytest
 
+import deadending
 from deadending.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -123,6 +125,27 @@ def test_verify_unknown_claim():
     assert code == 2 and "unknown claim" in err
 
 
+def test_verify_negative_bound_is_usage_error():
+    code, out, err = run_cli(["verify", "all", "--b", "-1"])
+    assert code == 2 and out == ""
+    assert "birthday must be >= 0" in err
+
+
+def test_monoid_negative_terms_is_usage_error():
+    argv = ["monoid", "--generators", "ints:-1..1", "--terms", "-1",
+            "--tests", "dead-ending:b1:k1"]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert "max_terms must be >= 0" in err
+
+
+def test_verify_flag_defaults_are_the_bounds_defaults():
+    from deadending.claims import Bounds
+    from deadending.cli import _bounds_from, _parser
+
+    assert _bounds_from(_parser().parse_args(["verify", "all"])) == Bounds()
+
+
 def test_verify_budget_zero_exits_3():
     code, out, _ = run_cli(["verify", "all", "--budget", "0"])
     assert code == 3
@@ -185,8 +208,12 @@ def test_golden_files(name):
 def test_cli_deterministic_across_processes():
     argv = [sys.executable, "-m", "deadending.cli", "equiv", "1/2", "1",
             "--tests", "dead-ending:b2:k2", "--json"]
+    # the child imports this package even when it is not installed
+    package_root = str(pathlib.Path(deadending.__file__).parents[1])
+    path = filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     runs = [
-        subprocess.run(argv, capture_output=True, text=True, check=False)
+        subprocess.run(argv, capture_output=True, text=True, check=False, env=env)
         for _ in range(2)
     ]
     assert runs[0].returncode == runs[1].returncode == 1

@@ -1,5 +1,6 @@
 """Structural layer: interning, constructors, predicates, lengths."""
 
+import functools
 import threading
 from fractions import Fraction
 
@@ -35,9 +36,10 @@ from deadending import (
     right_options,
     star,
 )
-from deadending import games
+from deadending import games, notation
 from deadending.games import options
-from deadending.universes import gen_dead_ending
+from deadending.notation import render
+from deadending.universes import gen_dead_ending, witness_contexts
 
 
 def lit(value) -> NumberLiteral:
@@ -475,6 +477,133 @@ def test_integer_recognizer_round_trip(n):
 def test_number_recognizer_round_trip():
     for literal in number_literals(5, 3):
         assert as_number(dyadic_game(literal)) == literal
+
+
+# The simplest-number search that the mean-of-options rule replaced, kept as
+# the reference: the dyadic of least birthday strictly between the options,
+# accepted only when its canonical game is g itself.
+
+
+def simplest_between(low, high):
+    assert low < high
+    if low < 0 < high:
+        return Fraction(0)
+    if low >= 0:
+        candidate = Fraction(int(low) + 1)
+        if candidate < high:
+            return candidate
+    else:
+        candidate = Fraction(int(high) - 1)
+        if candidate > low:
+            return candidate
+    exponent = 1
+    while True:
+        scale = 1 << exponent
+        numerator = int(low * scale) + 1
+        if Fraction(numerator, scale) <= low:
+            numerator += 1
+        if Fraction(numerator, scale) < high:
+            return Fraction(numerator, scale)
+        exponent += 1
+
+
+@functools.cache
+def simplest_route_as_number(g):
+    left, right = left_options(g), right_options(g)
+    if g == ZERO:
+        return NumberLiteral(0, 0)
+    if len(left) + len(right) == 1:
+        step = 1 if left else -1
+        sub = simplest_route_as_number((left or right)[0])
+        if sub is not None and sub.is_integer and sub.numerator * step >= 0:
+            return NumberLiteral(sub.numerator + step, 0)
+    elif len(left) == 1 and len(right) == 1:
+        low = simplest_route_as_number(left[0])
+        high = simplest_route_as_number(right[0])
+        if low is not None and high is not None and low.value < high.value:
+            candidate = lit(simplest_between(low.value, high.value))
+            if dyadic_game(candidate) == g:
+                return candidate
+    return None
+
+
+def assert_recognizers_match_simplest_route(g):
+    expected = simplest_route_as_number(g)
+    assert as_number(g) == expected, g
+    integer = expected.numerator if expected is not None and expected.is_integer else None
+    assert as_integer(g) == integer, g
+
+
+def literal_nodes():
+    """Literal games, every {a | b} over them, and {x | } and { | x} over both."""
+    literals = [dyadic_game(l) for l in number_literals(4, 3, include_zero=True)]
+    pairs = [intern((a,), (b,)) for a in literals for b in literals]
+    singles = [intern((x,), ()) for x in literals + pairs]
+    singles += [intern((), (x,)) for x in literals + pairs]
+    return literals, pairs, singles
+
+
+def test_mean_rule_matches_simplest_route_on_literal_nodes():
+    literals, pairs, singles = literal_nodes()
+    assert (len(literals), len(pairs), len(singles)) == (97, 97**2, 2 * (97 + 97**2))
+    for g in literals + pairs + singles:
+        assert_recognizers_match_simplest_route(g)
+
+
+def test_mean_rule_matches_simplest_route_on_dead_ending_b2_k2():
+    members = gen_dead_ending(2, 2).members
+    assert len(members) == 107
+    for g in members:
+        assert_recognizers_match_simplest_route(g)
+
+
+@settings(max_examples=200)
+@given(shapes)
+def test_mean_rule_matches_simplest_route_on_random_games(shape):
+    g = build(shape)
+    assert_recognizers_match_simplest_route(g)
+    assert_recognizers_match_simplest_route(conjugate(g))
+
+
+def test_recognizers_and_render_build_no_game(monkeypatch):
+    literals, pairs, _ = literal_nodes()
+    ladders = [lambda_game(k) for k in range(1, 6)]
+    games_to_read = (
+        list(gen_dead_ending(2, 2).members)
+        + witness_contexts(8, 6)
+        + literals
+        + pairs
+        + ladders
+        + [star(), intern((star(),), (ZERO,))]
+    )
+    size = games.store_size()
+
+    def refuse(*args):
+        pytest.fail(f"built a game from {args}")
+
+    for name in ("intern", "dyadic_game", "integer_game", "lambda_game"):
+        for module in (games, notation):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    # recognize from scratch, not from what earlier tests memoized
+    monkeypatch.setattr(games, "_as_number_memo", {})
+    for g in games_to_read:
+        as_number(g)
+        as_integer(g)
+        as_lambda(g)
+        render(g)
+    assert games.store_size() == size
+    assert [as_lambda(g) for g in ladders] == [1, 2, 3, 4, 5]
+    assert render(games_to_read[-1]) == "{* | 0}"
+
+
+def test_ladder_recognizer_reads_5000_rungs():
+    # built with intern in a loop; as_number on it would still recurse
+    g = intern((), (ZERO,))  # -1
+    for _ in range(5000):
+        g = intern((ZERO,), (g,))
+    assert as_lambda(g) == 5000
+    assert as_lambda(intern((ZERO,), (g, ZERO))) is None
 
 
 # -- concurrency --------------------------------------------------------------
