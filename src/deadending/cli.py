@@ -3,8 +3,9 @@
 Exit codes: 0 for a successful computation (or an all-pass verification run),
 1 when the computed answer is a refutation (distinguished, refuted, or
 incomparable), 2 for usage or notation errors, 3 when a generation or
-wall-clock budget was exceeded.  All diagnostics go to stderr; --json emits a
-stable envelope {command, inputs, result, witnesses, bounds, duration_ms}.
+wall-clock budget was exceeded, 4 for an internal error (any other exception,
+reported on one line).  All diagnostics go to stderr; --json emits a stable
+envelope {command, inputs, result, witnesses, bounds, duration_ms}.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ _EXIT_OK = 0
 _EXIT_REFUTED = 1
 _EXIT_USAGE = 2
 _EXIT_BUDGET = 3
+_EXIT_INTERNAL = 4
 
 
 class _Emitter:
@@ -432,6 +434,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ParseError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return _EXIT_USAGE
+    except Exception as err:  # not a refutation: exit 1 must not mean a crash
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return _EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -11,9 +11,15 @@ and deterministic.
 
 A node holds its Left options at index 0 and its Right options at index 1.
 Dead ends and lengths each have one implementation taking that side index,
-with one memo keyed (game, side): the Right notion is the Left notion of the
-conjugate, reached without interning the mirror tree.  Recursive helpers use
-plain loops, one interpreter frame per level of the game tree.
+with one memo per side: the Right notion is the Left notion of the
+conjugate, reached without interning the mirror tree.
+
+Every recursion over a game tree runs on one driver, `_walk`: a step is a
+generator that yields the key of each sub-result it needs and is sent that
+value back, and the driver keeps waiting steps on an explicit stack and does
+the memo lookup and store.  So depth (n for the integer n or lambda(n)) costs
+time and memory, not interpreter frames.  A step resumes where the recursive
+call would have returned, so interning order and ids are the recursion's.
 
 The recognizers (`as_number`, `as_integer`, `as_lambda`) read the node table
 only: they call no constructor and never intern, so naming a position never
@@ -22,6 +28,7 @@ grows the store.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,21 +41,6 @@ _lock = threading.RLock()
 # id -> (left option ids, right option ids), both sorted and duplicate-free
 _nodes: list[tuple[tuple[GameId, ...], tuple[GameId, ...]]] = []
 _index: dict[tuple[tuple[GameId, ...], tuple[GameId, ...]], GameId] = {}
-
-_conjugate_memo: dict[GameId, GameId] = {}
-_sum_memo: dict[tuple[GameId, GameId], GameId] = {}
-_birthday_memo: dict[GameId, int] = {}
-_followers_memo: dict[GameId, frozenset[GameId]] = {}
-_dead_end_memo: dict[tuple[GameId, int], bool] = {}
-_dead_ending_memo: dict[GameId, bool] = {}
-_dicot_memo: dict[GameId, bool] = {}
-_length_memo: dict[tuple[GameId, int], Optional[int]] = {}
-_branching_memo: dict[GameId, int] = {}
-_struct_key_memo: dict[GameId, tuple] = {}
-_integer_memo: dict[int, GameId] = {}
-_dyadic_memo: dict[tuple[int, int], GameId] = {}
-_lambda_memo: dict[int, GameId] = {}
-_as_number_memo: dict[GameId, Optional["NumberLiteral"]] = {}
 
 
 def intern(left: Iterable[GameId], right: Iterable[GameId]) -> GameId:
@@ -88,6 +80,71 @@ def store_size() -> int:
 
 
 ZERO: GameId = intern((), ())
+
+
+# ---------------------------------------------------------------------------
+# the walk
+
+_MISS = object()
+
+
+def _walk(step, key, memo=None):
+    """The value of the recursion `step` at a key missing from `memo`.
+
+    `step(key)` is a generator: it yields the key of each sub-result it needs,
+    is sent that sub-result back, and returns its own value, which is stored
+    in `memo`.  A sub-result missing from `memo` is computed by a step of its
+    own, while the steps waiting on it sit on a list, not on the interpreter's
+    stack.  Without a memo, for keys whose own hash would recurse, nothing is
+    looked up or kept.
+    """
+    get = memo.get if memo is not None else lambda key, default: default
+    waiting = []  # key, generator, key, generator, ...: no tuple per level
+    gen, value = step(key), None
+    while True:
+        try:
+            sub = gen.send(value)
+        except StopIteration as done:
+            value = done.value
+            if memo is not None:
+                memo[key] = value
+            if not waiting:
+                return value
+            gen, key = waiting.pop(), waiting.pop()
+            continue
+        value = get(sub, _MISS)
+        if value is _MISS:
+            waiting += key, gen
+            key, gen, value = sub, step(sub), None
+
+
+def _driven(step):
+    """The function of one key that walks `step` with a memo of its own (its
+    `memo` attribute); it keeps the step's name, docstring and annotations."""
+    memo = {}
+
+    @functools.wraps(step)
+    def run(key):
+        return memo[key] if key in memo else _walk(step, key, memo)
+
+    run.memo = memo
+    return run
+
+
+def _all(keys):
+    """In a step, `yield from _all(keys)` is the list of the keys' sub-results."""
+    found = []
+    for key in keys:
+        found.append((yield key))
+    return found
+
+
+def _every(keys):
+    """In a step, whether every key's sub-result is true; stops at the first false."""
+    for key in keys:
+        if not (yield key):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -194,23 +251,17 @@ def number_literals(
     return found
 
 
+
 # ---------------------------------------------------------------------------
 # constructors
 
 
 def integer_game(n: int) -> GameId:
     """Canonical-form integer: n > 0 is {n-1 | }, n < 0 its mirror, 0 is { | }."""
-    gid = _integer_memo.get(n)
-    if gid is not None:
-        return gid
-    if n == 0:
-        gid = ZERO
-    elif n > 0:
-        gid = intern((integer_game(n - 1),), ())
-    else:
-        gid = intern((), (integer_game(n + 1),))
-    _integer_memo[n] = gid
-    return gid
+    g = ZERO
+    for _ in range(abs(n)):  # from zero up: the interning order fixes the ids
+        g = intern((g,), ()) if n > 0 else intern((), (g,))
+    return g
 
 
 def dyadic_game(a: Union[NumberLiteral, int, Fraction]) -> GameId:
@@ -221,29 +272,22 @@ def dyadic_game(a: Union[NumberLiteral, int, Fraction]) -> GameId:
     """
     if not isinstance(a, NumberLiteral):
         a = NumberLiteral.from_value(a)
+    return _number_game(a)
+
+
+@_driven
+def _number_game(a: NumberLiteral) -> GameId:
     if a.is_integer:
         return integer_game(a.numerator)
-    key = (a.numerator, a.exponent)
-    gid = _dyadic_memo.get(key)
-    if gid is None:
-        left = a.left_option()
-        right = a.right_option()
-        assert left is not None and right is not None
-        gid = intern((dyadic_game(left),), (dyadic_game(right),))
-        _dyadic_memo[key] = gid
-    return gid
+    return intern(((yield a.left_option()),), ((yield a.right_option()),))
 
 
+@_driven
 def conjugate(g: GameId) -> GameId:
     """Swap Left and Right options recursively (an involution)."""
-    gid = _conjugate_memo.get(g)
-    if gid is None:
-        left, right = _nodes[g]
-        gid = intern(
-            tuple(conjugate(r) for r in right), tuple(conjugate(l) for l in left)
-        )
-        _conjugate_memo[g] = gid
-        _conjugate_memo[gid] = g
+    left, right = _nodes[g]
+    gid = intern((yield from _all(right)), (yield from _all(left)))
+    conjugate.memo[gid] = g  # and the walk stores g -> gid
     return gid
 
 
@@ -251,18 +295,21 @@ def add(g: GameId, h: GameId) -> GameId:
     """Disjunctive sum: a move in the sum is a move in exactly one component."""
     if g > h:
         g, h = h, g
-    if g == ZERO:
-        return h
-    key = (g, h)
-    gid = _sum_memo.get(key)
-    if gid is None:
-        gl, gr = _nodes[g]
-        hl, hr = _nodes[h]
-        left = {add(x, h) for x in gl} | {add(g, x) for x in hl}
-        right = {add(x, h) for x in gr} | {add(g, x) for x in hr}
-        gid = intern(left, right)
-        _sum_memo[key] = gid
-    return gid
+    return h if g == ZERO else _sum((g, h))
+
+
+@_driven
+def _sum(key: tuple[GameId, GameId]) -> GameId:
+    g, h = key  # ZERO < g <= h, and every option id is below its game's
+    sides = []
+    for g_opts, h_opts in zip(_nodes[g], _nodes[h]):
+        found = set()
+        for x in g_opts:
+            found.add(h if x == ZERO else (yield x, h))
+        for x in h_opts:
+            found.add(g if x == ZERO else (yield (g, x) if g < x else (x, g)))
+        sides.append(found)
+    return intern(*sides)
 
 
 def add_all(games: Iterable[GameId]) -> GameId:
@@ -272,18 +319,19 @@ def add_all(games: Iterable[GameId]) -> GameId:
     return total
 
 
+def ladder_game(rungs: int, drop: int) -> GameId:
+    """{0 | {0 | ... {0 | -drop}}} with the given number of rungs."""
+    if rungs < 1 or drop < 1:
+        raise ValueError("rungs and drop must be >= 1")
+    g = integer_game(-drop)
+    for _ in range(rungs):
+        g = intern((ZERO,), (g,))
+    return g
+
+
 def lambda_game(k: int) -> GameId:
     """The ladder {0 | {0 | ... {0 | -1}}} with k rungs; requires k >= 1."""
-    if k < 1:
-        raise ValueError("lambda_game requires k >= 1")
-    gid = _lambda_memo.get(k)
-    if gid is None:
-        if k == 1:
-            gid = intern((ZERO,), (integer_game(-1),))
-        else:
-            gid = intern((ZERO,), (lambda_game(k - 1),))
-        _lambda_memo[k] = gid
-    return gid
+    return ladder_game(k, 1)
 
 
 def star() -> GameId:
@@ -294,40 +342,27 @@ def star() -> GameId:
 # structure
 
 
+@_driven
 def followers(g: GameId) -> frozenset[GameId]:
     """Every position reachable by any sequence of moves, including g itself."""
-    cached = _followers_memo.get(g)
-    if cached is None:
-        acc = {g}
-        for o in options(g):
-            acc |= followers(o)
-        cached = frozenset(acc)
-        _followers_memo[g] = cached
-    return cached
+    return frozenset({g}.union(*(yield from _all(options(g)))))
 
 
+@_driven
 def birthday(g: GameId) -> int:
     """Height of the game tree."""
-    cached = _birthday_memo.get(g)
-    if cached is None:
-        opts = options(g)
-        cached = 1 + max(birthday(o) for o in opts) if opts else 0
-        _birthday_memo[g] = cached
-    return cached
+    heights = yield from _all(options(g))
+    return 1 + max(heights) if heights else 0
 
 
+@_driven
 def max_branching(g: GameId) -> int:
     """Largest per-side option count over all followers."""
-    cached = _branching_memo.get(g)
-    if cached is None:
-        left, right = _nodes[g]
-        cached = max(
-            [len(left), len(right)] + [max_branching(o) for o in left + right]
-        )
-        _branching_memo[g] = cached
-    return cached
+    left, right = _nodes[g]
+    return max([len(left), len(right)] + (yield from _all(left + right)))
 
 
+@_driven
 def struct_key(g: GameId) -> tuple:
     """A history-independent total order key for games.
 
@@ -335,15 +370,9 @@ def struct_key(g: GameId) -> tuple:
     the same order no matter what else was interned first.  Shared subgames
     share key objects, which keeps comparisons cheap.
     """
-    cached = _struct_key_memo.get(g)
-    if cached is None:
-        left, right = _nodes[g]
-        cached = (
-            tuple(sorted(struct_key(x) for x in left)),
-            tuple(sorted(struct_key(x) for x in right)),
-        )
-        _struct_key_memo[g] = cached
-    return cached
+    left, right = _nodes[g]
+    left_keys = tuple(sorted((yield from _all(left))))
+    return left_keys, tuple(sorted((yield from _all(right))))
 
 
 def sort_games(games: Iterable[GameId]) -> list[GameId]:
@@ -363,85 +392,68 @@ def is_right_end(g: GameId) -> bool:
     return not _nodes[g][1]
 
 
-def _dead_end(g: GameId, side: int) -> bool:
-    """An end for side (0 Left, 1 Right) whose every follower is one too."""
-    key = (g, side)
-    cached = _dead_end_memo.get(key)
-    if cached is None:
-        node = _nodes[g]
-        cached = not node[side]
-        for o in node[1 - side]:
-            if not cached:
-                break
-            cached = _dead_end(o, side)
-        _dead_end_memo[key] = cached
-    return cached
+def _dead_end(side: int, g: GameId):
+    """Step: g and all its followers are ends for side (0 Left, 1 Right)."""
+    node = _nodes[g]
+    return not node[side] and (yield from _every(node[1 - side]))
+
+
+_DEAD_ENDS = tuple(_driven(functools.partial(_dead_end, side)) for side in (0, 1))
 
 
 def is_dead_left_end(g: GameId) -> bool:
     """Left end whose every follower is also a left end."""
-    return _dead_end(g, 0)
+    return _DEAD_ENDS[0](g)
 
 
 def is_dead_right_end(g: GameId) -> bool:
-    return _dead_end(g, 1)
+    return _DEAD_ENDS[1](g)
 
 
 def is_dead_end(g: GameId) -> bool:
     return is_dead_left_end(g) or is_dead_right_end(g)
 
 
+@_driven
 def is_dead_ending(g: GameId) -> bool:
     """True when every end follower of g is a dead end."""
-    cached = _dead_ending_memo.get(g)
-    if cached is None:
-        node = _nodes[g]
-        # an end for either side must be a dead end for that side
-        cached = all(node[side] or _dead_end(g, side) for side in (0, 1))
-        for o in node[0] + node[1]:
-            if not cached:
-                break
-            cached = is_dead_ending(o)
-        _dead_ending_memo[g] = cached
-    return cached
+    node = _nodes[g]
+    # an end for either side must be a dead end for that side
+    ends_dead = all(node[side] or _DEAD_ENDS[side](g) for side in (0, 1))
+    return ends_dead and (yield from _every(node[0] + node[1]))
 
 
+@_driven
 def is_dicot(g: GameId) -> bool:
     """At every follower either both players can move or neither can."""
-    cached = _dicot_memo.get(g)
-    if cached is None:
-        cached = is_left_end(g) == is_right_end(g) and all(
-            is_dicot(o) for o in options(g)
-        )
-        _dicot_memo[g] = cached
-    return cached
+    left, right = _nodes[g]
+    return bool(left) == bool(right) and (yield from _every(left + right))
 
 
 # ---------------------------------------------------------------------------
 # lengths
 
 
-def _length(g: GameId, side: int) -> Optional[int]:
-    """Fewest consecutive moves by side (0 Left, 1 Right) from g to zero."""
-    key = (g, side)
-    if key in _length_memo:
-        return _length_memo[key]
-    best: Optional[int] = 0 if g == ZERO else None
+def _length(side: int, g: GameId):
+    """Step: fewest consecutive moves by side (0 Left, 1 Right) from g to zero."""
+    best = 0 if g == ZERO else None
     for option in _nodes[g][side]:
-        sub = _length(option, side)
+        sub = yield option
         if sub is not None and (best is None or sub + 1 < best):
             best = sub + 1
-    _length_memo[key] = best
     return best
+
+
+_LENGTHS = tuple(_driven(functools.partial(_length, side)) for side in (0, 1))
 
 
 def left_length(g: GameId) -> Optional[int]:
     """Fewest consecutive Left moves from g to the zero game, None if unreachable."""
-    return _length(g, 0)
+    return _LENGTHS[0](g)
 
 
 def right_length(g: GameId) -> Optional[int]:
-    return _length(g, 1)
+    return _LENGTHS[1](g)
 
 
 # ---------------------------------------------------------------------------
@@ -462,26 +474,34 @@ def as_number(g: GameId) -> Optional[NumberLiteral]:
     mean's own options are g's.  An integer mean lacks an option on one side,
     so it never matches a node with one option on each.
     """
-    if g in _as_number_memo:
-        return _as_number_memo[g]
-    result: Optional[NumberLiteral] = None
+    left, right = _nodes[g]
+    # a number has at most one option a side; other nodes take no memo entry
+    return _as_number(g) if len(left) < 2 and len(right) < 2 else None
+
+
+@_driven
+def _as_number(g: GameId) -> Optional[NumberLiteral]:
     left, right = _nodes[g]
     if g == ZERO:
-        result = NumberLiteral(0, 0)
-    elif len(left) + len(right) == 1:
-        step = 1 if left else -1  # n > 0 is {n-1 | }, n < 0 its mirror
-        sub = as_number((left or right)[0])
+        return NumberLiteral(0, 0)
+    if len(left) + len(right) == 1:
+        # n > 0 is {n-1 | } and n < 0 its mirror: read a chain of such steps
+        # down to its base in a loop, so that its levels take no memo entries
+        step, rungs, node = (1 if left else -1), 0, _nodes[g]
+        while len(node[0]) + len(node[1]) == 1 and bool(node[0]) == (step > 0):
+            rungs, base = rungs + 1, (node[0] or node[1])[0]
+            node = _nodes[base]
+        sub = yield base
         if sub is not None and sub.is_integer and sub.numerator * step >= 0:
-            result = NumberLiteral(sub.numerator + step, 0)
+            return NumberLiteral(sub.numerator + step * rungs, 0)
     elif len(left) == 1 and len(right) == 1:
-        low = as_number(left[0])
-        high = as_number(right[0])
+        low = yield left[0]
+        high = yield right[0]
         if low is not None and high is not None:
             mean = NumberLiteral.from_value((low.value + high.value) / 2)
             if (mean.left_option(), mean.right_option()) == (low, high):
-                result = mean
-    _as_number_memo[g] = result
-    return result
+                return mean
+    return None
 
 
 def as_lambda(g: GameId) -> Optional[int]:

@@ -25,7 +25,9 @@ from .games import (
     ZERO,
     GameId,
     NumberLiteral,
-    add_all,
+    _all,
+    _walk,
+    add,
     as_lambda,
     as_number,
     conjugate,
@@ -159,30 +161,44 @@ class _Parser:
         self.pos += 1
         return token
 
+    # The rules below are steps of the engine's walk (`games._walk`): a rule
+    # yields the generator of each rule it applies and is sent its result.
+    # `term` also reads atoms and braces: two steps a level of nesting.
+
     def parse(self) -> GameExpr:
-        expr = self.expr()
+        expr = _walk(lambda rule: rule, self.expr())
         tail = self.peek()
         if tail.kind != "end":
             raise ParseError(f"trailing input {tail.text!r}", tail.line, tail.column)
         return expr
 
-    def expr(self) -> GameExpr:
-        terms = [self.term()]
+    def expr(self):
+        terms = [(yield self.term())]
         while self.peek().kind == "+":
             self.take("+")
-            terms.append(self.term())
+            terms.append((yield self.term()))
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
-    def term(self) -> GameExpr:
-        if self.peek().kind == "~":
-            self.take("~")
-            return Conj(self.term())
-        return self.atom()
-
-    def atom(self) -> GameExpr:
+    def term(self):
         token = self.peek()
-        if token.kind == "{":
-            return self.braces()
+        if token.kind == "~":
+            self.take("~")
+            return Conj((yield self.term()))
+        if token.kind == "{":  # braces
+            self.take("{")
+            sides = []
+            for closer in "|}":
+                found = []
+                if self.peek().kind == ".":
+                    self.take(".")
+                elif self.peek().kind != closer:
+                    found.append((yield self.expr()))
+                    while self.peek().kind == ",":
+                        self.take(",")
+                        found.append((yield self.expr()))
+                sides.append(tuple(found))
+                self.take(closer)
+            return Braces(*sides)
         if token.kind == "*":
             self.take("*")
             return Star()
@@ -197,7 +213,7 @@ class _Parser:
             return Lambda(k)
         if token.kind == "(":
             self.take("(")
-            inner = self.expr()
+            inner = yield self.expr()
             self.take(")")
             return inner
         if token.kind in ("-", "nat"):
@@ -231,27 +247,6 @@ class _Parser:
             return FracLit(literal.numerator, literal.exponent)
         return IntLit(numerator)
 
-    def braces(self) -> GameExpr:
-        self.take("{")
-        left = self.opts("|")
-        self.take("|")
-        right = self.opts("}")
-        self.take("}")
-        return Braces(left, right)
-
-    def opts(self, closer: str) -> tuple[GameExpr, ...]:
-        token = self.peek()
-        if token.kind == ".":
-            self.take(".")
-            return ()
-        if token.kind == closer:
-            return ()
-        found = [self.expr()]
-        while self.peek().kind == ",":
-            self.take(",")
-            found.append(self.expr())
-        return tuple(found)
-
 
 def parse(text: str) -> GameExpr:
     """Parse notation into an expression tree, or raise ParseError."""
@@ -260,6 +255,10 @@ def parse(text: str) -> GameExpr:
 
 def elaborate(expr: GameExpr) -> GameId:
     """Fold an expression tree through the game constructors."""
+    return _walk(_elaborate, expr)
+
+
+def _elaborate(expr: GameExpr):
     if isinstance(expr, IntLit):
         return dyadic_game(NumberLiteral(expr.n, 0))
     if isinstance(expr, FracLit):
@@ -269,14 +268,14 @@ def elaborate(expr: GameExpr) -> GameId:
     if isinstance(expr, Lambda):
         return lambda_game(expr.k)
     if isinstance(expr, Conj):
-        return conjugate(elaborate(expr.inner))
+        return conjugate((yield expr.inner))
     if isinstance(expr, Sum):
-        return add_all(elaborate(term) for term in expr.terms)
+        total = ZERO
+        for term in expr.terms:  # each term added as soon as it is built
+            total = add(total, (yield term))
+        return total
     if isinstance(expr, Braces):
-        return intern(
-            tuple(elaborate(e) for e in expr.left),
-            tuple(elaborate(e) for e in expr.right),
-        )
+        return intern((yield from _all(expr.left)), (yield from _all(expr.right)))
     raise TypeError(f"not a game expression: {expr!r}")
 
 

@@ -5,8 +5,10 @@ solver treats them as the loser.  Both are one exact memoized search over
 the unordered component pair of a sum g + h, so that it never interns the
 sum: the memo key is (smaller id, larger id, side to move) and a move
 replaces one component with one of its options.  A single game g is the pair
-(ZERO, g).  The search takes the terminal rule as a parameter and keeps one
-memo per rule, shared by single games and pairs: `outcome_misere` and
+(ZERO, g).  The search is a step of the engine's walk (`games._walk`), so it
+runs on an explicit stack at any depth, and it stops at the first losing
+reply.  It takes the terminal rule as a parameter and keeps one memo per
+rule, shared by single games and pairs: `outcome_misere` and
 `outcome_misere_sum` use the misere rule, `outcome_normal` and `normal_geq`
 the normal one.  Scans of a game against a whole test set read the test
 set's outcome rows (`universes.ContextTable`) instead; the pair search is
@@ -18,12 +20,14 @@ agreement between the two routes is checked by the verification harness.
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from typing import Iterable
 
 from .games import (
     ZERO,
     GameId,
     NumberLiteral,
+    _driven,
     conjugate,
     is_dead_left_end,
     is_dead_right_end,
@@ -50,9 +54,6 @@ _CONJUGATE = {
     Outcome.P: Outcome.P,
 }
 
-_misere_memo: dict[tuple[GameId, GameId, bool], bool] = {}
-_normal_memo: dict[tuple[GameId, GameId, bool], bool] = {}
-
 
 def outcome_geq(a: Outcome, b: Outcome) -> bool:
     """Partial order on outcomes: L on top, R at the bottom, N and P incomparable."""
@@ -63,31 +64,24 @@ def conjugate_outcome(o: Outcome) -> Outcome:
     return _CONJUGATE[o]
 
 
-def _pair_wins(
-    g: GameId, h: GameId, left_to_move: bool, memo, no_move_wins: bool
-) -> bool:
-    """Does the player to move win g + h?  A single game g is (ZERO, g)."""
-    if g > h:
-        g, h = h, g
-    key = (g, h, left_to_move)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
+def _pair_wins(no_move_wins: bool, key: tuple[GameId, GameId, bool]):
+    """Step: does the player to move win g + h?  Key (g, h, left to move), g <= h."""
+    g, h, left_to_move = key
     mover_options = left_options if left_to_move else right_options
     g_opts, h_opts = mover_options(g), mover_options(h)
     mover = not left_to_move
-    result = no_move_wins and not g_opts and not h_opts
     for o in g_opts:
-        if not _pair_wins(o, h, mover, memo, no_move_wins):
-            result = True
-            break
-    else:
-        for o in h_opts:
-            if not _pair_wins(g, o, mover, memo, no_move_wins):
-                result = True
-                break
-    memo[key] = result
-    return result
+        if not (yield (o, h, mover) if o < h else (h, o, mover)):
+            return True
+    for o in h_opts:
+        if not (yield (g, o, mover) if g < o else (o, g, mover)):
+            return True
+    return no_move_wins and not g_opts and not h_opts
+
+
+# the search under each terminal rule, each with its own memo
+_MISERE = _driven(partial(_pair_wins, True))
+_NORMAL = _driven(partial(_pair_wins, False))
 
 
 def _outcome_from_wins(left_wins: bool, right_wins: bool) -> Outcome:
@@ -96,26 +90,25 @@ def _outcome_from_wins(left_wins: bool, right_wins: bool) -> Outcome:
     return Outcome.R if right_wins else Outcome.P
 
 
-def _outcome(g: GameId, h: GameId, memo, no_move_wins: bool) -> Outcome:
-    return _outcome_from_wins(
-        _pair_wins(g, h, True, memo, no_move_wins),
-        _pair_wins(g, h, False, memo, no_move_wins),
-    )
+def _outcome(g: GameId, h: GameId, rule) -> Outcome:
+    if g > h:
+        g, h = h, g
+    return _outcome_from_wins(rule((g, h, True)), rule((g, h, False)))
 
 
 def outcome_misere(g: GameId) -> Outcome:
     """Misere outcome class: the first player unable to move wins."""
-    return _outcome(ZERO, g, _misere_memo, True)
+    return _outcome(ZERO, g, _MISERE)
 
 
 def outcome_misere_sum(g: GameId, h: GameId) -> Outcome:
     """Misere outcome class of g + h, searched without building the sum."""
-    return _outcome(g, h, _misere_memo, True)
+    return _outcome(g, h, _MISERE)
 
 
 def outcome_normal(g: GameId) -> Outcome:
     """Normal outcome class: the first player unable to move loses."""
-    return _outcome(ZERO, g, _normal_memo, False)
+    return _outcome(ZERO, g, _NORMAL)
 
 
 def normal_geq(g: GameId, h: GameId) -> bool:
@@ -123,7 +116,8 @@ def normal_geq(g: GameId, h: GameId) -> bool:
 
     Searched over the pair (g, conjugate(h)), so the sum is never built.
     """
-    return not _pair_wins(g, conjugate(h), False, _normal_memo, False)
+    h = conjugate(h)
+    return not _NORMAL((g, h, False) if g <= h else (h, g, False))
 
 
 def dead_end_sum_outcome(g: GameId, h: GameId) -> Outcome:

@@ -30,6 +30,8 @@ from .games import (
     ZERO,
     GameId,
     NumberLiteral,
+    _all,
+    _walk,
     add,
     add_all,
     as_number,
@@ -42,6 +44,7 @@ from .games import (
     is_dead_ending,
     is_dead_left_end,
     is_dead_right_end,
+    ladder_game,
     left_length,
     left_options,
     number_literals,
@@ -131,23 +134,11 @@ class ContextTable:
         self._rows: dict[GameId, Row] = {}
 
     def row(self, g: GameId) -> Row:
-        """g's row, solved after the rows of its followers without recursion."""
-        rows = self._rows
-        stack = [g]
-        while stack:
-            x = stack[-1]
-            if x in rows:
-                stack.pop()
-                continue
-            pending = [o for o in options(x) if o not in rows]
-            if pending:
-                stack.extend(pending)
-            else:
-                rows[x] = self._solve(x)
-                stack.pop()
-        return rows[g]
+        """g's row, solved after the rows of its followers."""
+        return self._rows.get(g) or _walk(self._solve, g, self._rows)
 
-    def _solve(self, g: GameId) -> Row:
+    def _solve(self, g: GameId):
+        yield from _all(options(g))  # the option rows, read below
         # Left moving first in g + X wins by a move g^L + X that Right loses
         # moving first, by a move g + X^L likewise, or by having no move at
         # all; the first kind is a whole-row operation on the option rows
@@ -375,16 +366,6 @@ def generate(descriptor: str) -> TestSet:
             value(fields[1], "j"), value(fields[2], "v"), value(fields[3], "t")
         )
     raise ValueError(f"unrecognized test set descriptor {descriptor!r}")
-
-
-def ladder_game(rungs: int, drop: int) -> GameId:
-    """{0 | {0 | ... {0 | -drop}}} with the given number of rungs."""
-    if rungs < 1 or drop < 1:
-        raise ValueError("rungs and drop must be >= 1")
-    g = integer_game(-drop)
-    for _ in range(rungs):
-        g = intern((ZERO,), (g,))
-    return g
 
 
 def witness_contexts(max_rungs: int = 8, max_drop: int = 6) -> list[GameId]:

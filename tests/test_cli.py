@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output forms, golden JSON envelopes."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -12,9 +13,13 @@ import sys
 import pytest
 
 import deadending
+from deadending import cli
 from deadending.cli import main
 
+from depth import shallow
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
 
 GOLDEN_CASES = {
     "outcome_left_end.json": ["outcome", "{.|1}", "--json"],
@@ -220,3 +225,52 @@ def test_cli_deterministic_across_processes():
     first = scrub(json.loads(runs[0].stdout))
     second = scrub(json.loads(runs[1].stdout))
     assert first == second
+
+
+def test_internal_error_exits_4_with_one_line(monkeypatch):
+    def broken(game):
+        raise RuntimeError("solver fault")
+
+    monkeypatch.setattr(cli, "outcome_misere", broken)
+    code, out, err = run_cli(["outcome", "1/2", "--json"])
+    assert code == 4 and out == ""
+    assert err == "internal error: RuntimeError: solver fault\n"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_deep_benchmark_queries_match_reference_answers():
+    # answered at the interpreter's default recursion limit
+    workloads = load_workloads()
+    reference = json.loads((PERFBENCH / "reference.json").read_text())["queries"]
+    assert len(workloads.DEEP_QUERIES) == 6
+    for argv in workloads.DEEP_QUERIES:
+        code, out, err = run_cli(argv)
+        assert code == 0, (argv[:2], err)
+        digest = workloads.answer_digest(code, out)
+        assert digest == reference[workloads.query_key(argv)], argv[:2]
+
+
+def test_deep_inputs_answer_within_a_shallow_stack():
+    n = 10**4
+    braces = "{" * (n + 1) + "|}" * (n + 1)  # the integer n
+    cases = [  # (deep input, shallow input with the same answer, result keys)
+        (["outcome", str(n)], ["outcome", "3"], ["outcome"]),
+        (["outcome", str(-n), "--normal"], ["outcome", "-3", "--normal"], ["outcome"]),
+        (["outcome", f"lambda({n})"], ["outcome", "lambda(3)"], ["outcome"]),
+        (["outcome", braces], ["outcome", "3"], ["outcome"]),
+        (["classify", braces], ["classify", "3"], ["dead_ending", "dicot"]),
+        (["lengths", str(-n)], ["lengths", "-3"], ["left"]),
+    ]
+    for deep, small, keys in cases:
+        code, out, err = shallow(run_cli, deep + ["--json"])
+        assert code == 0, (deep[:2], err)
+        result = json.loads(out)["result"]
+        expected = json.loads(run_cli(small + ["--json"])[1])["result"]
+        assert {k: result[k] for k in keys} == {k: expected[k] for k in keys}, deep[:2]
+    assert result == {"left": None, "right": n, "game": str(-n)}

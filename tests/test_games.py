@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from deadending import (
     ZERO,
     NumberLiteral,
+    Outcome,
     add,
     as_integer,
     as_lambda,
@@ -32,11 +33,16 @@ from deadending import (
     left_length,
     left_options,
     number_literals,
+    number_sum_outcome,
+    outcome_misere,
+    outcome_misere_sum,
+    outcome_normal,
     right_length,
     right_options,
     star,
 )
 from deadending import games, notation
+from deadending.claims import Bounds
 from deadending.games import options
 from deadending.notation import render
 from deadending.universes import gen_dead_ending, witness_contexts
@@ -46,6 +52,7 @@ def lit(value) -> NumberLiteral:
     return NumberLiteral.from_value(Fraction(value))
 
 
+from depth import shallow
 from strategies import build, shapes
 
 
@@ -315,11 +322,7 @@ def test_side_indexed_notions_match_mirrored_on_random_games(shape):
 
 
 def test_side_indexed_recursions_reach_800_levels():
-    # built with intern in a loop: conjugate and add still recurse
-    up = down = ZERO
-    for _ in range(800):
-        up = intern((up,), ())  # {up | }
-        down = intern((), (down,))  # { | down}
+    up, down = integer_game(800), conjugate(integer_game(800))
     assert is_dead_right_end(up) and not is_dead_left_end(up)
     assert is_dead_left_end(down) and not is_dead_right_end(down)
     assert (left_length(up), right_length(up)) == (800, None)
@@ -456,18 +459,6 @@ def test_recognizers():
     assert as_lambda(star()) is None
 
 
-def test_integer_recognizer_builds_no_game(monkeypatch):
-    # a two-sided node, or a one-sided node over one, is never an integer; the
-    # integer test rejects it without as_number's dyadic_game lookup
-    gap = intern((integer_game(7),), (integer_game(19),))
-    monkeypatch.setattr(games, "dyadic_game", lambda a: pytest.fail(f"built {a}"))
-    assert as_integer(gap) is None
-    assert as_integer(intern((gap,), ())) is None
-    assert as_integer(intern((), (gap,))) is None
-    assert as_integer(intern((integer_game(-3),), ())) is None
-    assert as_integer(intern((), (integer_game(-3),))) == -4
-
-
 @settings(max_examples=100)
 @given(st.integers(-40, 40))
 def test_integer_recognizer_round_trip(n):
@@ -568,12 +559,22 @@ def test_mean_rule_matches_simplest_route_on_random_games(shape):
 def test_recognizers_and_render_build_no_game(monkeypatch):
     literals, pairs, _ = literal_nodes()
     ladders = [lambda_game(k) for k in range(1, 6)]
+    # a two-sided node, or a one-sided node over one, is never an integer
+    gap = intern((integer_game(7),), (integer_game(19),))
+    integer_probes = [
+        gap,
+        intern((gap,), ()),
+        intern((), (gap,)),
+        intern((integer_game(-3),), ()),
+        intern((), (integer_game(-3),)),  # -4
+    ]
     games_to_read = (
         list(gen_dead_ending(2, 2).members)
         + witness_contexts(8, 6)
         + literals
         + pairs
         + ladders
+        + integer_probes
         + [star(), intern((star(),), (ZERO,))]
     )
     size = games.store_size()
@@ -581,12 +582,14 @@ def test_recognizers_and_render_build_no_game(monkeypatch):
     def refuse(*args):
         pytest.fail(f"built a game from {args}")
 
-    for name in ("intern", "dyadic_game", "integer_game", "lambda_game"):
+    names = ("intern", "dyadic_game", "integer_game", "lambda_game", "ladder_game")
+    for name in names:
         for module in (games, notation):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, refuse)
-    # recognize from scratch, not from what earlier tests memoized
-    monkeypatch.setattr(games, "_as_number_memo", {})
+    # recognize from scratch, not from what earlier tests memoized; the memo
+    # is a cache of a pure function, so emptying it changes no answer
+    games._as_number.memo.clear()
     for g in games_to_read:
         as_number(g)
         as_integer(g)
@@ -594,16 +597,192 @@ def test_recognizers_and_render_build_no_game(monkeypatch):
         render(g)
     assert games.store_size() == size
     assert [as_lambda(g) for g in ladders] == [1, 2, 3, 4, 5]
+    assert [as_integer(g) for g in integer_probes] == [None, None, None, None, -4]
     assert render(games_to_read[-1]) == "{* | 0}"
 
 
 def test_ladder_recognizer_reads_5000_rungs():
-    # built with intern in a loop; as_number on it would still recurse
-    g = intern((), (ZERO,))  # -1
-    for _ in range(5000):
-        g = intern((ZERO,), (g,))
+    g = lambda_game(5000)
     assert as_lambda(g) == 5000
+    assert as_number(g) is None
     assert as_lambda(intern((ZERO,), (g, ZERO))) is None
+
+
+# -- the walk -----------------------------------------------------------------
+# The recursive helpers that games._walk replaced, kept as the reference: each
+# recurses once per level, so they run on shallow games only.
+
+
+@functools.cache
+def recursive_add(g, h):
+    if g > h:
+        g, h = h, g
+    if g == ZERO:
+        return h
+    gl, gr = left_options(g), right_options(g)
+    hl, hr = left_options(h), right_options(h)
+    left = {recursive_add(x, h) for x in gl} | {recursive_add(g, x) for x in hl}
+    right = {recursive_add(x, h) for x in gr} | {recursive_add(g, x) for x in hr}
+    return intern(left, right)
+
+
+@functools.cache
+def recursive_conjugate(g):
+    return intern(
+        tuple(recursive_conjugate(r) for r in right_options(g)),
+        tuple(recursive_conjugate(l) for l in left_options(g)),
+    )
+
+
+@functools.cache
+def recursive_followers(g):
+    acc = {g}
+    for o in options(g):
+        acc |= recursive_followers(o)
+    return frozenset(acc)
+
+
+@functools.cache
+def recursive_birthday(g):
+    opts = options(g)
+    return 1 + max(recursive_birthday(o) for o in opts) if opts else 0
+
+
+@functools.cache
+def recursive_max_branching(g):
+    left, right = left_options(g), right_options(g)
+    return max([len(left), len(right)] + [recursive_max_branching(o) for o in left + right])
+
+
+@functools.cache
+def recursive_struct_key(g):
+    return (
+        tuple(sorted(recursive_struct_key(x) for x in left_options(g))),
+        tuple(sorted(recursive_struct_key(x) for x in right_options(g))),
+    )
+
+
+@functools.cache
+def recursive_is_dicot(g):
+    return is_left_end(g) == is_right_end(g) and all(
+        recursive_is_dicot(o) for o in options(g)
+    )
+
+
+@functools.cache
+def recursive_as_number(g):
+    left, right = left_options(g), right_options(g)
+    if g == ZERO:
+        return NumberLiteral(0, 0)
+    if len(left) + len(right) == 1:
+        step = 1 if left else -1
+        sub = recursive_as_number((left or right)[0])
+        if sub is not None and sub.is_integer and sub.numerator * step >= 0:
+            return NumberLiteral(sub.numerator + step, 0)
+    elif len(left) == 1 and len(right) == 1:
+        low = recursive_as_number(left[0])
+        high = recursive_as_number(right[0])
+        if low is not None and high is not None:
+            mean = NumberLiteral.from_value((low.value + high.value) / 2)
+            if (mean.left_option(), mean.right_option()) == (low, high):
+                return mean
+    return None
+
+
+def assert_walks_match_recursive(g):
+    assert conjugate(g) == recursive_conjugate(g), g
+    assert followers(g) == recursive_followers(g), g
+    assert birthday(g) == recursive_birthday(g), g
+    assert games.max_branching(g) == recursive_max_branching(g), g
+    assert games.struct_key(g) == recursive_struct_key(g), g
+    assert is_dicot(g) == recursive_is_dicot(g), g
+    assert as_number(g) == recursive_as_number(g), g
+    assert_side_indexed_match_mirrored(g)
+
+
+def ladder_pack():
+    return Bounds().ladder_pack().members
+
+
+def test_walks_match_recursive_on_dead_ending_b2_k2_and_ladders():
+    members = gen_dead_ending(2, 2).members
+    assert len(members) == 107
+    for g in members + ladder_pack():
+        assert_walks_match_recursive(g)
+
+
+def test_sum_walk_matches_recursive_on_dead_ending_b2_k2_and_ladders():
+    members = gen_dead_ending(2, 2).members
+    ladders = ladder_pack()
+    pairs = [(g, h) for g in members[:40] for h in members]
+    pairs += [(g, h) for g in ladders[::5] for h in ladders[::3] + members[:20]]
+    for g, h in pairs:
+        assert add(g, h) == recursive_add(g, h), (g, h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes, shapes)
+def test_walks_match_recursive_on_random_games(sa, sb):
+    g, h = build(sa), build(sb)
+    assert add(g, h) == recursive_add(g, h)
+    for x in (g, conjugate(g), add(g, h)):
+        assert_walks_match_recursive(x)
+
+
+# -- depth ----------------------------------------------------------------------
+# Games as deep as their value, walked with the recursion limit just above the
+# caller's depth (tests/depth.py): any helper that recursed once per level
+# would raise RecursionError here.
+
+DEEP = 10**4
+
+
+def test_deep_integers_answer_within_a_shallow_stack():
+    for n in (DEEP, -DEEP):
+        g = shallow(integer_game, n)
+        literal = NumberLiteral(n, 0)
+        assert shallow(dyadic_game, literal) == g
+        assert shallow(as_integer, g) == n and shallow(render, g) == str(n)
+        assert shallow(conjugate, g) == shallow(integer_game, -n)
+        assert shallow(birthday, g) == DEEP
+        assert shallow(games.max_branching, g) == 1
+        assert shallow(games.struct_key, g)[n > 0] == ()
+        assert (shallow(left_length, g), shallow(right_length, g)) == (
+            literal.left_length(),
+            literal.right_length(),
+        )
+        assert shallow(is_dead_end, g) and shallow(is_dead_ending, g)
+        assert not shallow(is_dicot, g)
+        assert shallow(outcome_misere, g) == number_sum_outcome([literal])
+        assert shallow(outcome_normal, g) == (Outcome.L if n > 0 else Outcome.R)
+        assert shallow(add, g, star()) == shallow(add, star(), g)
+        step = integer_game(3 if n > 0 else -3)  # same-sign sums stay canonical
+        assert shallow(as_integer, shallow(add, g, step)) == n + as_integer(step)
+
+
+def test_deep_ladder_answers_within_a_shallow_stack():
+    g = shallow(lambda_game, DEEP)
+    assert shallow(as_lambda, g) == DEEP and shallow(render, g) == f"lambda({DEEP})"
+    assert shallow(as_number, g) is None
+    assert (shallow(left_length, g), shallow(right_length, g)) == (1, DEEP + 1)
+    assert shallow(birthday, g) == DEEP + 1
+    assert shallow(is_dead_ending, g)
+    assert shallow(outcome_misere, g) == Outcome.R  # as every lambda(k), k >= 2
+    assert shallow(outcome_normal, g) == Outcome.L
+    assert shallow(conjugate, shallow(conjugate, g)) == g
+    x = lambda_game(3)  # a pair with g has 4 * DEEP states, not DEEP**2
+    assert shallow(outcome_misere_sum, g, x) == shallow(outcome_misere, shallow(add, g, x))
+
+
+def test_deep_dicot_chain_within_a_shallow_stack():
+    g = ZERO
+    for _ in range(DEEP):
+        g = intern((g,), (g,))  # {g | g}
+    assert shallow(is_dicot, g) and shallow(is_dead_ending, g)
+    assert shallow(birthday, g) == DEEP
+    # from zero, {g | g} alternates N and P under misere play
+    assert shallow(outcome_misere, g) == Outcome.N
+    assert shallow(outcome_normal, g) == Outcome.P
 
 
 # -- concurrency --------------------------------------------------------------

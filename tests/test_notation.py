@@ -7,6 +7,7 @@ from deadending import (
     ZERO,
     NumberLiteral,
     add,
+    as_integer,
     birthday,
     conjugate,
     dyadic_game,
@@ -16,19 +17,25 @@ from deadending import (
     number_literals,
     star,
 )
+from deadending.claims import Bounds
 from deadending.notation import (
     Braces,
     Conj,
     FracLit,
     IntLit,
+    Lambda,
     ParseError,
+    Star,
     Sum,
+    _Parser,
     elaborate,
     parse,
     parse_game,
     render,
 )
+from deadending.universes import gen_dead_ending
 
+from depth import shallow
 from strategies import build, shapes
 
 
@@ -134,3 +141,166 @@ def test_round_trip_named_literals():
 def test_round_trip_random_games(shape):
     g = build(shape)
     assert parse_game(render(g, depth=birthday(g) + 1)) == g
+
+
+# The recursive-descent parser and the recursive elaboration that the walk
+# (games._walk) replaced, kept as the reference: they recurse once per level,
+# so they run on shallow inputs only.
+
+
+class RecursiveParser(_Parser):
+    def parse(self):
+        expr = self.expr()
+        tail = self.peek()
+        if tail.kind != "end":
+            raise ParseError(f"trailing input {tail.text!r}", tail.line, tail.column)
+        return expr
+
+    def expr(self):
+        terms = [self.term()]
+        while self.peek().kind == "+":
+            self.take("+")
+            terms.append(self.term())
+        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+
+    def term(self):
+        if self.peek().kind == "~":
+            self.take("~")
+            return Conj(self.term())
+        return self.atom()
+
+    def atom(self):
+        token = self.peek()
+        if token.kind == "{":
+            return self.braces()
+        if token.kind == "*":
+            self.take("*")
+            return Star()
+        if token.kind == "lambda":
+            self.take("lambda")
+            self.take("(")
+            nat = self.take("nat")
+            self.take(")")
+            k = int(nat.text)
+            if k < 1:
+                raise ParseError("lambda index must be >= 1", nat.line, nat.column)
+            return Lambda(k)
+        if token.kind == "(":
+            self.take("(")
+            inner = self.expr()
+            self.take(")")
+            return inner
+        if token.kind in ("-", "nat"):
+            return self.number()
+        raise ParseError(
+            f"expected a game, found {token.text or 'end of input'!r}",
+            token.line,
+            token.column,
+        )
+
+    def braces(self):
+        self.take("{")
+        left = self.opts("|")
+        self.take("|")
+        right = self.opts("}")
+        self.take("}")
+        return Braces(left, right)
+
+    def opts(self, closer):
+        token = self.peek()
+        if token.kind == ".":
+            self.take(".")
+            return ()
+        if token.kind == closer:
+            return ()
+        found = [self.expr()]
+        while self.peek().kind == ",":
+            self.take(",")
+            found.append(self.expr())
+        return tuple(found)
+
+
+def recursive_elaborate(expr):
+    if isinstance(expr, IntLit):
+        return dyadic_game(NumberLiteral(expr.n, 0))
+    if isinstance(expr, FracLit):
+        return dyadic_game(NumberLiteral(expr.numerator, expr.exponent))
+    if isinstance(expr, Star):
+        return star()
+    if isinstance(expr, Lambda):
+        return lambda_game(expr.k)
+    if isinstance(expr, Conj):
+        return conjugate(recursive_elaborate(expr.inner))
+    if isinstance(expr, Sum):
+        total = ZERO
+        for term in expr.terms:
+            total = add(total, recursive_elaborate(term))
+        return total
+    return intern(
+        tuple(recursive_elaborate(e) for e in expr.left),
+        tuple(recursive_elaborate(e) for e in expr.right),
+    )
+
+
+def parsed_or_error(parser, text):
+    try:
+        return parser(text)
+    except ParseError as err:
+        return str(err)
+
+
+def assert_walk_parses_as_recursive(text):
+    expected = parsed_or_error(lambda t: RecursiveParser(t).parse(), text)
+    assert parsed_or_error(parse, text) == expected, text
+    if not isinstance(expected, str):
+        assert elaborate(expected) == recursive_elaborate(expected), text
+
+
+MALFORMED = [
+    "", "{0|1", "1 +", "lambda(", "{0,|1}", "**", "foo", "3/6", "lambda(0)",
+    "{0|\n  ?}", "{.,1|}", "{1|.,}", "(1", "1)", "~", "{|}}", "-", "1/", "{1 2|}",
+]
+WELL_FORMED = [
+    "{.|.}", "{|}", "0", "-3/4 + 5/8", "~{1|*} + 1/2 + lambda(2)", "(1 + 1) + *",
+    "{1, {0|*} | ~lambda(2)}", "{. | 1, 2, ~3}", "~~(~1 + {*|*})", "5/1",
+]
+
+
+def test_walk_parses_as_recursive_on_corpus_and_universes():
+    members = gen_dead_ending(2, 2).members
+    assert len(members) == 107
+    games = members + Bounds().ladder_pack().members
+    texts = MALFORMED + WELL_FORMED + [render(g, depth=birthday(g) + 1) for g in games]
+    texts += [f"{render(g)} + ~{render(h)}" for g, h in zip(games, games[1:])]
+    for text in texts:
+        assert_walk_parses_as_recursive(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes, shapes)
+def test_walk_parses_as_recursive_on_random_games(sa, sb):
+    g, h = build(sa), build(sb)
+    text = render(g, depth=birthday(g) + 1)
+    assert_walk_parses_as_recursive(text)
+    assert_walk_parses_as_recursive(f"~({text}) + {render(h, depth=birthday(h) + 1)}")
+
+
+DEEP = 10**4
+
+
+def test_deep_notation_within_a_shallow_stack():
+    braces = "{" * (DEEP + 1) + "|}" * (DEEP + 1)  # { | } is 0, {n-1 | } is n
+    assert shallow(parse_game, braces) == integer_game(DEEP)
+    alternating, g = "{|}", ZERO
+    for i in range(DEEP):
+        if i % 2:
+            alternating, g = "{" + alternating + "|}", intern((g,), ())
+        else:
+            alternating, g = "{|" + alternating + "}", intern((), (g,))
+    assert shallow(parse_game, alternating) == g
+    assert shallow(render, g).count("…") == 1
+    assert shallow(parse_game, "~" * DEEP + "1") == integer_game(1)
+    assert shallow(parse_game, "(" * DEEP + "1" + ")" * DEEP) == integer_game(1)
+    assert shallow(as_integer, shallow(parse_game, f"-{DEEP} + ~lambda(1)")) is None
+    with pytest.raises(ParseError):
+        shallow(parse, "{" * DEEP + "|" + "}" * (DEEP - 1))

@@ -34,6 +34,7 @@ from deadending import (
     right_options,
     star,
 )
+from deadending.claims import Bounds
 from deadending.universes import gen_dead_ending, gen_dead_ends, witness_contexts
 
 from strategies import build, shapes
@@ -165,7 +166,8 @@ def assert_solvers_match_single_search(games):
 def test_solvers_match_single_search_on_dead_ending_b2_k2():
     members = gen_dead_ending(2, 2).members
     sums = [add(g, h) for g in members[:30] for h in members[:30]]
-    assert_solvers_match_single_search(members + tuple(sums))
+    ladders = Bounds().ladder_pack().members
+    assert_solvers_match_single_search(members + tuple(sums) + ladders)
 
 
 @settings(max_examples=200)
@@ -177,7 +179,7 @@ def test_solvers_match_single_search_on_random_games(shape):
 
 def test_solvers_reach_800_levels():
     # {g | g} from zero alternates P and N under normal play, N and P under
-    # misere play; built with intern in a loop, since conjugate and add recurse
+    # misere play
     g = ZERO
     for _ in range(800):
         g = intern((g,), (g,))
