@@ -459,6 +459,18 @@ def test_recognizers():
     assert as_lambda(star()) is None
 
 
+def test_integer_recognizer_builds_no_game(monkeypatch):
+    # a two-sided node, or a one-sided node over one, is never an integer; the
+    # integer test reads the node table and builds no dyadic game to compare
+    gap = intern((integer_game(7),), (integer_game(19),))
+    monkeypatch.setattr(games, "dyadic_game", lambda a: pytest.fail(f"built {a}"))
+    assert as_integer(gap) is None
+    assert as_integer(intern((gap,), ())) is None
+    assert as_integer(intern((), (gap,))) is None
+    assert as_integer(intern((integer_game(-3),), ())) is None
+    assert as_integer(intern((), (integer_game(-3),))) == -4
+
+
 @settings(max_examples=100)
 @given(st.integers(-40, 40))
 def test_integer_recognizer_round_trip(n):
