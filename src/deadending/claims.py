@@ -5,7 +5,7 @@ report.  Statements quantified over an infinite universe are checked over
 declared test sets and labeled as bounded passes; statements with closed
 forms are checked exhaustively within bounds.  A refuted report means the
 implementation is wrong somewhere, never merely that the bounds are small:
-search shortfalls surface as distinct failure notes, not as refutations.
+a search shortfall reports `skipped`, its reason naming the bound too small.
 """
 
 from __future__ import annotations
@@ -160,21 +160,31 @@ def _witness(game: GameId, role: str, **extra) -> dict:
 
 
 class _Check:
-    """Collects case counts and failures for one claim run."""
+    """One claim run's cases, failures (the claim is refuted) and shortfalls
+    (a search came up empty within the bounds: skipped, unless refuted)."""
 
     def __init__(self):
         self.cases = 0
         self.failures: list[dict] = []
         self.witnesses: list[dict] = []
         self.details: dict = {}
+        self.shortfalls: list[str] = []
 
     def run(self, ok: bool, game: GameId, role: str, **extra) -> None:
         self.cases += 1
         if not ok:
             self.failures.append(_witness(game, role, **extra))
 
+    def search(self, found: bool, reason: str) -> None:
+        """A case settled by finding something; `reason` names the bound first."""
+        self.cases += 1
+        if not found:
+            self.shortfalls.append(reason)
+
     def report(self, claim: str, bounds: Bounds, started: float) -> ClaimReport:
-        status = "refuted" if self.failures else "pass"
+        status = "refuted" if self.failures else "skipped" if self.shortfalls else "pass"
+        if status == "skipped":
+            self.details["reason"] = self.shortfalls[0]
         return ClaimReport(
             claim=claim,
             status=status,
@@ -318,11 +328,10 @@ def _claim_int_total_order(bounds: Bounds) -> _Check:
                 pair=f"{n},{m}",
             )
             strict = equiv_mod(integer_game(n), integer_game(m), tests)
-            check.run(
+            check.search(
                 isinstance(strict, Distinguished),
-                integer_game(m),
-                "distinct integers indistinguishable over closure",
-                pair=f"{n},{m}",
+                f"terms={bounds.terms} too small: {n} and {m} indistinguishable "
+                f"over {tests.descriptor}",
             )
             if isinstance(strict, Distinguished):
                 check.run(
@@ -419,12 +428,18 @@ def _claim_end_to_integer(bounds: Bounds) -> _Check:
     return check
 
 
-def _expect_integer_monoid(report, check: _Check, label_span: int) -> None:
+def _expect_integer_monoid(report, check: _Check, label_span: int, bound: str) -> None:
     expected = list(range(-label_span, label_span + 1))
     labels = sorted(cls.label for cls in report.classes)
-    check.run(report.consistent, ZERO, "label bookkeeping inconsistent")
-    check.run(labels == expected, ZERO, "class labels not the expected range",
-              labels=str(labels))
+    # unseparated sums alone fail the bookkeeping, label and inverse checks
+    merged = len(labels) < len(expected)
+    check.run(report.consistent or merged, ZERO, "label bookkeeping inconsistent")
+    if merged:
+        check.search(False, f"{bound} too small: {report.descriptor} separates "
+                     f"{len(labels)} of {len(expected)} classes")
+    else:
+        check.run(labels == expected, ZERO, "class labels not the expected range",
+                  labels=str(labels))
     for (a, b), target in report.product.items():
         check.run(target == a + b, ZERO, "product is not label addition", pair=f"{a},{b}")
     for (a, b), verified in report.product_verified.items():
@@ -441,7 +456,7 @@ def _expect_integer_monoid(report, check: _Check, label_span: int) -> None:
         )
     check.run(report.identity_label == 0, ZERO, "identity class is not labeled 0")
     check.run(
-        report.inverse_pairs == [(-k, k) for k in range(label_span, -1, -1)],
+        report.inverse_pairs == [(-k, k) for k in range(label_span, -1, -1)] or merged,
         ZERO,
         "inverse pairs incomplete",
     )
@@ -456,7 +471,7 @@ def _claim_int_monoid(bounds: Bounds) -> _Check:
     gens = [integer_game(n) for n in range(-span, span + 1)]
     tests = gen_dead_end_closure(bounds.birthday, bounds.options, 2)
     report = quotient_monoid(gens, 2, tests)
-    _expect_integer_monoid(report, check, 2 * span)
+    _expect_integer_monoid(report, check, 2 * span, f"birthday={bounds.birthday}")
     check.details["tests"] = tests.descriptor
     check.details["classes"] = len(report.classes)
     return check
@@ -467,7 +482,7 @@ def _claim_number_monoid(bounds: Bounds) -> _Check:
     gens = [dyadic_game(lit) for lit in number_literals(2, 1, include_zero=True)]
     tests = gen_number_closure(2, 1, 2)
     report = quotient_monoid(gens, 2, tests)
-    _expect_integer_monoid(report, check, 4)
+    _expect_integer_monoid(report, check, 4, "the fixed test set")
     check.details["tests"] = tests.descriptor
     check.details["classes"] = len(report.classes)
     return check
@@ -809,8 +824,10 @@ def _claim_star_squared(bounds: Bounds) -> _Check:
     check = _Check()
     tests = bounds.dead_ending_tests()
     verdict = invert_check(star(), tests)
-    check.cases += 1
-    if isinstance(verdict, Distinguished):
+    found = isinstance(verdict, Distinguished)
+    check.search(found, f"scan_birthday={bounds.scan_birthday} too small: "
+                 f"no witness in {tests.descriptor}")
+    if found:
         check.witnesses.append(
             _witness(
                 verdict.witness,
@@ -818,8 +835,6 @@ def _claim_star_squared(bounds: Bounds) -> _Check:
                 outcomes=f"{verdict.first_outcome.value} vs {verdict.second_outcome.value}",
             )
         )
-    else:
-        check.failures.append(_witness(ZERO, "no witness found in the test set"))
     check.details["tests"] = tests.descriptor
     return check
 

@@ -3,9 +3,11 @@
 Exit codes: 0 for a successful computation (or an all-pass verification run),
 1 when the computed answer is a refutation (distinguished, refuted, or
 incomparable), 2 for usage or notation errors, 3 when a generation or
-wall-clock budget was exceeded, 4 for an internal error (any other exception,
-reported on one line).  All diagnostics go to stderr; --json emits a stable
-envelope {command, inputs, result, witnesses, bounds, duration_ms}.
+wall-clock budget was exceeded or a verify bound was too small for a search
+to settle a claim (a `skipped` report whose details.reason names the bound),
+4 for an internal error (any other exception, reported on one line).  All
+diagnostics go to stderr; --json emits a stable envelope {command, inputs,
+result, witnesses, bounds, duration_ms}.
 """
 
 from __future__ import annotations
@@ -174,19 +176,10 @@ def _cmd_equiv(ns: argparse.Namespace) -> int:
         out.say(f"indistinguishable up to {verdict.descriptor}")
         return out.finish(_EXIT_OK)
     out.result = {"verdict": "distinguished"}
-    out.witnesses = [
-        {
-            "game": render(verdict.witness),
-            "outcomes": [
-                verdict.first_outcome.value + "-",
-                verdict.second_outcome.value + "-",
-            ],
-        }
-    ]
-    out.say(
-        f"distinguished by {render(verdict.witness)} "
-        f"[{verdict.first_outcome.value}- vs {verdict.second_outcome.value}-]"
-    )
+    witness = render(verdict.witness)
+    first, second = verdict.first_outcome.value, verdict.second_outcome.value
+    out.witnesses = [{"game": witness, "outcomes": [first + "-", second + "-"]}]
+    out.say(f"distinguished by {witness} [{first}- vs {second}-]")
     return out.finish(_EXIT_REFUTED)
 
 
@@ -239,18 +232,18 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
         return out.finish(_EXIT_OK)
     if isinstance(verdict, Refuted):
         out.result = {"verdict": "refuted"}
-        out.witnesses = [{"game": render(verdict.witness)}]
-        out.say(f"refuted by {render(verdict.witness)}")
+        witness = render(verdict.witness)
+        out.witnesses = [{"game": witness}]
+        out.say(f"refuted by {witness}")
         return out.finish(_EXIT_REFUTED)
     out.result = {"verdict": "incomparable"}
+    geq_fail = render(verdict.witness_geq_fail)
+    leq_fail = render(verdict.witness_leq_fail)
     out.witnesses = [
-        {"game": render(verdict.witness_geq_fail), "direction": "geq"},
-        {"game": render(verdict.witness_leq_fail), "direction": "leq"},
+        {"game": geq_fail, "direction": "geq"},
+        {"game": leq_fail, "direction": "leq"},
     ]
-    out.say(
-        f"incomparable [geq fails at {render(verdict.witness_geq_fail)}, "
-        f"leq fails at {render(verdict.witness_leq_fail)}]"
-    )
+    out.say(f"incomparable [geq fails at {geq_fail}, leq fails at {leq_fail}]")
     return out.finish(_EXIT_REFUTED)
 
 
@@ -263,8 +256,8 @@ def _cmd_universe(ns: argparse.Namespace) -> int:
     out.result = {"descriptor": tests.descriptor, "count": len(tests)}
     if ns.list:
         out.result["members"] = [render(g) for g in tests.members]
-        for g in tests.members:
-            out.say(render(g))
+        for text in out.result["members"]:
+            out.say(text)
     else:
         out.say(f"{tests.descriptor}: {len(tests)} members")
     return out.finish(_EXIT_OK)
@@ -299,10 +292,10 @@ def _cmd_monoid(ns: argparse.Namespace) -> int:
     out.bounds = {"tests": tests.descriptor, "terms": ns.terms}
     out.result = report.to_dict()
     out.say(f"classes: {len(report.classes)}  (tests {tests.descriptor})")
-    for cls in report.classes:
+    for cls in out.result["classes"]:  # rendered once, by to_dict
         out.say(
-            f"  label {cls.label:+d}  outcome {cls.outcome.value}-  "
-            f"rep {render(cls.representative)}  members {len(cls.members)}"
+            f"  label {cls['label']:+d}  outcome {cls['outcome']}-  "
+            f"rep {cls['representative']}  members {len(cls['members'])}"
         )
     out.say(f"identity label: {report.identity_label}")
     out.say(f"inverse pairs: {report.inverse_pairs}")

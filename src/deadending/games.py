@@ -342,10 +342,16 @@ def star() -> GameId:
 # structure
 
 
-@_driven
 def followers(g: GameId) -> frozenset[GameId]:
     """Every position reachable by any sequence of moves, including g itself."""
-    return frozenset({g}.union(*(yield from _all(options(g)))))
+    # no memo: one set per follower holds n(n+1)/2 entries on an n-chain
+    seen, todo = {g}, [g]
+    while todo:
+        for o in options(todo.pop()):
+            if o not in seen:
+                seen.add(o)
+                todo.append(o)
+    return frozenset(seen)
 
 
 @_driven

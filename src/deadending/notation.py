@@ -293,6 +293,12 @@ def render(g: GameId, depth: int = 6) -> str:
     any depth; round-tripping through parse is exact whenever nothing was
     elided.  Like the recognizers it reads, rendering builds no game.
     """
+    return _walk(_render, (g, depth), {})
+
+
+def _render(key: tuple[GameId, int]):
+    # the memo lives for one call: shared subgames render once, none is kept
+    g, depth = key
     literal = as_number(g)
     if literal is not None:
         return str(literal)
@@ -303,6 +309,6 @@ def render(g: GameId, depth: int = 6) -> str:
         return "*"
     if depth <= 0:
         return ELLIPSIS_MARK
-    left = ", ".join(render(x, depth - 1) for x in left_options(g)) or "."
-    right = ", ".join(render(x, depth - 1) for x in right_options(g)) or "."
+    left = ", ".join((yield from _all((x, depth - 1) for x in left_options(g)))) or "."
+    right = ", ".join((yield from _all((x, depth - 1) for x in right_options(g)))) or "."
     return "{" + left + " | " + right + "}"

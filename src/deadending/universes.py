@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
@@ -345,7 +345,17 @@ def gen_number_closure(
 
 
 def generate(descriptor: str) -> TestSet:
-    """Materialize a test set from its descriptor string."""
+    """Materialize a test set from its descriptor string.
+
+    The last few are kept per process, so a repeated descriptor returns the
+    same TestSet and the rows its table solved (a test set depends only on its
+    descriptor; the store is append-only).  A refused one raises on every call.
+    """
+    return _generate(descriptor)
+
+
+@lru_cache(maxsize=4)
+def _generate(descriptor: str) -> TestSet:
     fields = descriptor.split(":")
     kind = fields[0]
 

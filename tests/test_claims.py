@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from deadending import add, conjugate, dyadic_game, outcome_geq, outcome_misere
+from deadending import ZERO, add, conjugate, dyadic_game, outcome_geq, outcome_misere
 from deadending.claims import (
     Bounds,
     ClaimReport,
+    _Check,
     _context_witness,
     _fails_geq,
     _verify_refutation,
@@ -120,6 +121,37 @@ def test_run_all_matches_single_runs():
     single = run_claim(reports[3].claim, SMALL)
     single.duration_ms = reports[3].duration_ms = 0
     assert single == reports[3]
+
+
+@pytest.mark.parametrize(
+    "bound, claim",
+    [
+        ("scan_birthday", "fact:star-squared"),
+        ("terms", "thm:int-total-order"),
+        ("birthday", "thm:int-monoid"),
+    ],
+)
+def test_zero_bound_shortfalls_skip_rather_than_refute(bound, claim):
+    # an empty search within tiny bounds says nothing against the claim
+    reports = run_all(Bounds(**{bound: 0}))
+    assert [r.claim for r in reports if r.status == "refuted"] == []
+    assert [r.claim for r in reports if r.status == "skipped"] == [claim]
+    (report,) = [r for r in reports if r.status == "skipped"]
+    assert report.details["reason"].startswith(f"{bound}=0 too small: ")
+    assert report.witnesses == []
+
+
+def test_a_failure_outranks_a_shortfall():
+    check = _Check()
+    check.search(True, "terms=2 too small: unused")
+    assert check.report("c", SMALL, 0.0).status == "pass"
+    check.search(False, "terms=2 too small: first")
+    check.search(False, "terms=2 too small: second")
+    skipped = check.report("c", SMALL, 0.0)
+    assert skipped.status == "skipped" and skipped.cases == 3
+    assert skipped.details["reason"] == "terms=2 too small: first"
+    check.run(False, ZERO, "a real failure")
+    assert check.report("c", SMALL, 0.0).status == "refuted"
 
 
 def test_star_squared_records_a_witness():

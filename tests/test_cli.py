@@ -157,6 +157,14 @@ def test_verify_budget_zero_exits_3():
     assert "23 skipped" in out
 
 
+def test_verify_bound_too_small_for_a_search_exits_3():
+    code, out, _ = run_cli(["verify", "fact:star-squared", "--eb", "0", "--json"])
+    assert code == 3
+    (report,) = json.loads(out)["result"]["reports"]
+    assert report["status"] == "skipped"
+    assert report["details"]["reason"].startswith("scan_birthday=0 too small")
+
+
 def test_back_to_back_calls_match_fresh_parsers():
     # one process reuses its parser; no flag or subcommand may carry over
     from deadending.cli import _parser
@@ -254,6 +262,19 @@ def test_deep_benchmark_queries_match_reference_answers():
         assert code == 0, (argv[:2], err)
         digest = workloads.answer_digest(code, out)
         assert digest == reference[workloads.query_key(argv)], argv[:2]
+
+
+def test_whole_benchmark_pool_matches_reference_answers():
+    # one process, as a query session runs: renders share nothing between
+    # calls, and repeated test sets come from the generate cache
+    workloads = load_workloads()
+    reference = json.loads((PERFBENCH / "reference.json").read_text())["queries"]
+    pool = workloads.query_pool()
+    assert len(pool) == 1000
+    for argv in pool:
+        code, out, err = run_cli(argv)
+        digest = workloads.answer_digest(code, out)
+        assert digest == reference[workloads.query_key(argv)], (argv, err)
 
 
 def test_deep_inputs_answer_within_a_shallow_stack():

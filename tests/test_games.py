@@ -2,6 +2,7 @@
 
 import functools
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -180,6 +181,24 @@ def test_followers():
     assert followers(ZERO) == {ZERO}
     assert followers(integer_game(2)) == {integer_game(2), integer_game(1), ZERO}
     assert len(followers(dyadic_game(lit("3/4")))) == 4
+
+
+def test_followers_of_a_long_chain_keep_one_set():
+    chain = [ZERO]  # the integers 0..2000, each built on the one before
+    for _ in range(2000):
+        chain.append(intern((chain[-1],), ()))
+    g = chain[-1]
+    assert g == integer_game(2000)
+    tracemalloc.start()
+    try:
+        found = followers(g)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(found) == 2001 and found == set(chain)
+    # a visited set and the result: a memo of every follower's own set would
+    # hold 2,003,001 entries, tens of megabytes, and keep them
+    assert peak < 2_000_000 and kept < 1_000_000
 
 
 def test_birthday():

@@ -8,15 +8,21 @@ from deadending import (
     NumberLiteral,
     add,
     as_integer,
+    as_lambda,
+    as_number,
     birthday,
     conjugate,
     dyadic_game,
     integer_game,
+    followers,
     intern,
     lambda_game,
+    left_options,
     number_literals,
+    right_options,
     star,
 )
+from deadending import notation
 from deadending.claims import Bounds
 from deadending.notation import (
     Braces,
@@ -141,6 +147,72 @@ def test_round_trip_named_literals():
 def test_round_trip_random_games(shape):
     g = build(shape)
     assert parse_game(render(g, depth=birthday(g) + 1)) == g
+
+
+# The render that expands the game DAG as a tree, kept as the reference for
+# the one that renders each shared subgame once per call.
+
+
+def tree_render(g, depth=6):
+    literal = as_number(g)
+    if literal is not None:
+        return str(literal)
+    k = as_lambda(g)
+    if k is not None:
+        return f"lambda({k})"
+    if left_options(g) == (ZERO,) == right_options(g):
+        return "*"
+    if depth <= 0:
+        return "…"
+    left = ", ".join(tree_render(x, depth - 1) for x in left_options(g)) or "."
+    right = ", ".join(tree_render(x, depth - 1) for x in right_options(g)) or "."
+    return "{" + left + " | " + right + "}"
+
+
+def assert_render_matches_tree(g):
+    for depth in range(9):
+        assert render(g, depth) == tree_render(g, depth), (g, depth)
+    assert render(g) == tree_render(g), g
+
+
+def test_render_matches_tree_render_on_b2_k2_ladders_and_sums():
+    members = gen_dead_ending(2, 2).members
+    assert len(members) == 107
+    for g in members + Bounds().ladder_pack().members:
+        assert_render_matches_tree(g)
+    # every third member against itself and each later member: sums share
+    # subgames widely, and the full 5,778 pairs would take seconds more
+    for i in range(0, len(members), 3):
+        for h in members[i:]:
+            assert_render_matches_tree(add(members[i], h))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shapes, shapes)
+def test_render_matches_tree_render_on_random_games(sa, sb):
+    g, h = build(sa), build(sb)
+    for x in (g, conjugate(g), add(g, h)):
+        assert_render_matches_tree(x)
+
+
+def test_each_render_call_starts_from_an_empty_memo(monkeypatch):
+    memos = []  # (the memo a top-level call walks with, its size on entry)
+    walk = notation._walk
+
+    def spy(step, key, memo=None):
+        memos.append((memo, len(memo)))
+        return walk(step, key, memo)
+
+    monkeypatch.setattr(notation, "_walk", spy)
+    g = intern((ZERO, star()), (intern((star(),), (integer_game(1),)),))
+    g = add(g, conjugate(g))
+    first, second = render(g), render(g, depth=4)
+    assert [size for _, size in memos] == [0, 0]
+    (memo1, _), (memo2, _) = memos
+    assert memo1 is not memo2
+    # one entry per subgame and depth, so a shared subgame is rendered once
+    assert 0 < len(memo1) <= len(followers(g)) * 7
+    assert first == tree_render(g) and second == tree_render(g, 4)
 
 
 # The recursive-descent parser and the recursive elaboration that the walk

@@ -28,6 +28,7 @@ from deadending import (
     right_options,
     star,
 )
+from deadending import universes
 from deadending.claims import Bounds
 from deadending.games import max_branching, sort_games, store_size
 from deadending.universes import (
@@ -273,6 +274,46 @@ def test_generate_rejects_malformed():
     for text in ("dead-ending", "numbers:j2:v1", "dead-ending:bx:k2", "nope:b1:k1"):
         with pytest.raises(ValueError):
             generate(text)
+
+
+def test_generate_returns_the_kept_test_set_with_its_rows():
+    ts = generate("dead-ending:b2:k2")
+    g = add(star(), integer_game(1))
+    row = ts.table.row(g)
+    again = generate("dead-ending:b2:k2")
+    assert again is ts and again.table is ts.table
+    assert again.table._rows[g] is row  # solved once, read again
+
+
+def test_generate_cache_stays_within_its_bound():
+    bound = universes._generate.cache_info().maxsize
+    assert bound is not None and bound <= 8
+    oldest = generate("dead-ending:b1:k1")
+    for k in range(2, 2 * bound + 2):
+        generate(f"dead-ending:b1:k{k}")
+        assert universes._generate.cache_info().currsize <= bound
+    rebuilt = generate("dead-ending:b1:k1")
+    assert rebuilt is not oldest and rebuilt == oldest
+
+
+@pytest.mark.parametrize(
+    "descriptor, error",
+    [
+        ("dead-ending:bx:k2", ValueError),
+        ("numbers:j2:v1", ValueError),
+        ("numbers:j10:v8:t3", BudgetExceededError),
+        ("dead-ending:b3:k2", BudgetExceededError),
+    ],
+)
+def test_generate_raises_on_every_call_and_keeps_nothing(descriptor, error):
+    generate("dead-ending:b2:k2")  # b3:k2 refuses only after building day 2
+    before = store_size()
+    for _ in range(3):
+        misses = universes._generate.cache_info().misses
+        with pytest.raises(error):
+            generate(descriptor)
+        assert universes._generate.cache_info().misses == misses + 1
+        assert store_size() == before
 
 
 def test_witness_contexts_live_in_the_universe():
