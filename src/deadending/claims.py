@@ -10,6 +10,7 @@ a search shortfall reports `skipped`, its reason naming the bound too small.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -171,8 +172,10 @@ class _Check:
         self.shortfalls: list[str] = []
 
     def run(self, ok: bool, game: GameId, role: str, **extra) -> None:
+        # an `extra` given as a function is called on failure only
         self.cases += 1
         if not ok:
+            extra = {k: v() if callable(v) else v for k, v in extra.items()}
             self.failures.append(_witness(game, role, **extra))
 
     def search(self, found: bool, reason: str) -> None:
@@ -246,7 +249,8 @@ def _claim_follower_closed(bounds: Bounds) -> _Check:
     check = _Check()
     for g in bounds.dead_ending_tests().members:
         for f in sort_games(followers(g)):
-            check.run(is_dead_ending(f), f, "non-dead-ending follower", of=render(g))
+            ok = is_dead_ending(f)
+            check.run(ok, f, "non-dead-ending follower", of=lambda: render(g))
     return check
 
 
@@ -306,7 +310,7 @@ def _claim_ends_invertible(bounds: Bounds) -> _Check:
                 outcome_misere_sum(paired, x) in (Outcome.L, Outcome.N),
                 x,
                 "left-end context escapes L/N",
-                around=render(g),
+                around=lambda: render(g),
             )
     check.details["tests"] = tests.descriptor
     return check
@@ -351,64 +355,32 @@ def _claim_int_incomparable(bounds: Bounds) -> _Check:
         for m in span:
             if n <= m:
                 continue
+            run = functools.partial(check.run, pair=f"{n},{m}")
             gn, gm = integer_game(n), integer_game(m)
             # conjugate witness refutes n >= m
             x = conjugate(gm)
-            check.run(
-                outcome_misere_sum(gn, x) == Outcome.R,
-                x,
-                "n + conj(m) not R",
-                pair=f"{n},{m}",
-            )
-            check.run(
-                outcome_misere_sum(gm, x) == Outcome.N,
-                x,
-                "m + conj(m) not N",
-                pair=f"{n},{m}",
-            )
-            check.run(
-                _verify_refutation(gn, gm, x), x, "conjugate witness fails", pair=f"{n},{m}"
-            )
+            run(outcome_misere_sum(gn, x) == Outcome.R, x, "n + conj(m) not R")
+            run(outcome_misere_sum(gm, x) == Outcome.N, x, "m + conj(m) not N")
+            run(_verify_refutation(gn, gm, x), x, "conjugate witness fails")
             # ladder witness refutes n <= m
             if m >= 0:
-                lam = lambda_game(n)
-                check.run(
-                    outcome_misere_sum(gn, lam) == Outcome.L,
-                    lam,
-                    "n + ladder not L",
-                    pair=f"{n},{m}",
-                )
-                check.run(
-                    outcome_misere_sum(gm, lam) in (Outcome.P, Outcome.R),
-                    lam,
-                    "m + ladder not P/R",
-                    pair=f"{n},{m}",
-                )
-                witness = lam
+                witness = lambda_game(n)
+                n_outcome = outcome_misere_sum(gn, witness)
+                run(n_outcome == Outcome.L, witness, "n + ladder not L")
+                m_outcome = outcome_misere_sum(gm, witness)
+                run(m_outcome in (Outcome.P, Outcome.R), witness, "m + ladder not P/R")
             elif n - m - 1 >= 1:
                 k = -m - 1
                 witness = add(integer_game(k), lambda_game(n + k))
-                check.run(
-                    outcome_misere_sum(gn, witness) == Outcome.L,
-                    witness,
-                    "n + shifted ladder not L",
-                    pair=f"{n},{m}",
-                )
-                check.run(
-                    outcome_misere_sum(gm, witness) == Outcome.N,
-                    witness,
-                    "m + shifted ladder not N",
-                    pair=f"{n},{m}",
-                )
+                n_outcome = outcome_misere_sum(gn, witness)
+                run(n_outcome == Outcome.L, witness, "n + shifted ladder not L")
+                m_outcome = outcome_misere_sum(gm, witness)
+                run(m_outcome == Outcome.N, witness, "m + shifted ladder not N")
             else:
                 # consecutive pair below zero: the conjugated ladder separates it
                 witness = conjugate(lambda_game(-m))
-            check.run(
-                _verify_refutation(gm, gn, witness),
-                witness,
-                "ladder witness fails to refute n <= m",
-                pair=f"{n},{m}",
-            )
+            refuted = _verify_refutation(gm, gn, witness)
+            run(refuted, witness, "ladder witness fails to refute n <= m")
     return check
 
 
@@ -563,7 +535,7 @@ def _claim_number_sum_outcome(bounds: Bounds) -> _Check:
                 outcome_misere(built) == number_sum_outcome(combo),
                 built,
                 "solver disagrees with length rule",
-                terms=" + ".join(str(l) for l in combo) or "0",
+                terms=lambda: " + ".join(str(l) for l in combo) or "0",
             )
     return check
 
@@ -601,7 +573,7 @@ def _claim_number_plus_end(bounds: Bounds) -> _Check:
                     outcome_misere_sum(built, x) == Outcome.L,
                     x,
                     "left end spoils a Left-won number sum",
-                    terms=" + ".join(str(l) for l in combo),
+                    terms=lambda: " + ".join(str(l) for l in combo),
                 )
     check.details["left_ends"] = len(left_ends)
     return check
@@ -691,19 +663,21 @@ def _claim_simplicity_length(bounds: Bounds) -> _Check:
         for lit in number_literals(bounds.struct_exponent, bounds.magnitude)
         if lit.numerator > 0
     ]
-    for a in literals:
+    values = [lit.value for lit in literals]
+    for a, a_value in zip(literals, values):
         a_left = a.left_option()
         if a_left is None:
             continue
-        for b in literals:
-            if a_left.value < b.value < a.value:
-                la, lb = a_left.left_length(), b.left_length()
+        low, la = a_left.value, a_left.left_length()
+        for b, b_value in zip(literals, values):
+            if low < b_value < a_value:
+                lb = b.left_length()
                 assert la is not None and lb is not None
                 check.run(
                     la < lb,
                     dyadic_game(b),
                     "option length not below inner number length",
-                    pair=f"{a},{b}",
+                    pair=lambda: f"{a},{b}",
                 )
     return check
 

@@ -4,10 +4,10 @@ A position is a pair of option sets, one for Left and one for Right, and is
 identified by a dense integer id.  Positions are hash-consed: two games built
 from identical (recursively interned) option sets always share an id, so
 structural equality of trees is id equality.  The intern store and every memo
-table are append-only.  Only `intern` takes a lock, so concurrent callers
-never see two ids for one tree; the memo tables are plain dicts whose racing
-writers store the same value.  All functions here are pure in their arguments
-and deterministic.
+table are append-only.  `intern` takes a lock to add a node, so concurrent
+callers never see two ids for one tree, and `integer_game` takes it to extend
+its chains; the memo tables are plain dicts whose racing writers store the
+same value.  All functions here are pure in their arguments and deterministic.
 
 A node holds its Left options at index 0 and its Right options at index 1.
 Dead ends and lengths each have one implementation taking that side index,
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import threading
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -256,12 +257,18 @@ def number_literals(
 # constructors
 
 
+_INTEGERS = ([ZERO], [ZERO])  # the integers built, by magnitude: n >= 0, n <= 0
+
+
 def integer_game(n: int) -> GameId:
     """Canonical-form integer: n > 0 is {n-1 | }, n < 0 its mirror, 0 is { | }."""
-    g = ZERO
-    for _ in range(abs(n)):  # from zero up: the interning order fixes the ids
-        g = intern((g,), ()) if n > 0 else intern((), (g,))
-    return g
+    chain = _INTEGERS[n < 0]
+    if abs(n) >= len(chain):
+        with _lock:  # extend from the top: the order in which a loop from zero interns
+            while len(chain) <= abs(n):
+                g = chain[-1]
+                chain.append(intern((g,), ()) if n > 0 else intern((), (g,)))
+    return chain[abs(n)]
 
 
 def dyadic_game(a: Union[NumberLiteral, int, Fraction]) -> GameId:
@@ -342,16 +349,22 @@ def star() -> GameId:
 # structure
 
 
-def followers(g: GameId) -> frozenset[GameId]:
-    """Every position reachable by any sequence of moves, including g itself."""
-    # no memo: one set per follower holds n(n+1)/2 entries on an n-chain
-    seen, todo = {g}, [g]
+def _closure(games: Iterable[GameId]) -> set[GameId]:
+    """The games and every position reachable from them, on an explicit stack."""
+    seen = set(games)
+    todo = list(seen)
     while todo:
         for o in options(todo.pop()):
             if o not in seen:
                 seen.add(o)
                 todo.append(o)
-    return frozenset(seen)
+    return seen
+
+
+def followers(g: GameId) -> frozenset[GameId]:
+    """Every position reachable by any sequence of moves, including g itself."""
+    # no memo: one set per follower holds n(n+1)/2 entries on an n-chain
+    return frozenset(_closure((g,)))
 
 
 @_driven
@@ -368,22 +381,36 @@ def max_branching(g: GameId) -> int:
     return max([len(left), len(right)] + (yield from _all(left + right)))
 
 
-@_driven
-def struct_key(g: GameId) -> tuple:
-    """A history-independent total order key for games.
-
-    Built purely from the tree shape, so sorting by (birthday, struct_key) gives
-    the same order no matter what else was interned first.  Shared subgames
-    share key objects, which keeps comparisons cheap.
-    """
-    left, right = _nodes[g]
-    left_keys = tuple(sorted((yield from _all(left))))
-    return left_keys, tuple(sorted((yield from _all(right))))
-
-
 def sort_games(games: Iterable[GameId]) -> list[GameId]:
-    """Deterministic order: ascending birthday, then structural key."""
-    return sorted(games, key=lambda g: (birthday(g), struct_key(g)))
+    """Deterministic order: ascending birthday, then tree shape, which compares
+    sorted Left options, then sorted Right options, lexicographically in the
+    shape order, so it never depends on what was interned first.
+
+    The follower closure is placed, options first, by bisection on keys of the
+    options' integer labels; a new label lies between its neighbours', and a
+    gap that runs out relabels everything with wider gaps.  Nothing is kept.
+    """
+    games = list(games)
+    depth = {g: birthday(g) for g in _closure(games)}
+    label, order, keys, gap = {}, [], [], 1 << 32  # order and keys: placed so far
+
+    def key(g):  # the sorted labels of g's options, one tuple a side
+        return tuple(tuple(sorted([label[x] for x in side])) for side in _nodes[g])
+
+    for g in sorted(depth, key=depth.__getitem__):
+        k = key(g)
+        i = bisect(keys, k)
+        low = label[order[i - 1]] if i else 0
+        high = label[order[i]] if i < len(order) else low + 2 * gap
+        order.insert(i, g)
+        keys.insert(i, k)
+        if high - low > 1:
+            label[g] = (low + high) // 2
+        else:  # widening the gaps each time keeps a chain into one gap near-linear
+            gap <<= 32
+            label = dict(zip(order, range(gap, (len(order) + 1) * gap, gap)))
+            keys = [key(x) for x in order]
+    return sorted(games, key=lambda g: (depth[g], label[g]))
 
 
 # ---------------------------------------------------------------------------

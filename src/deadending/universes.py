@@ -311,7 +311,8 @@ def _sum_closure(
 
     The budget is checked first, so a refused descriptor interns no node.
     """
-    total = sum(comb(len(items) + size - 1, size) for size in range(max_terms + 1))
+    # the multisets of at most max_terms items; just the empty one of no items
+    total = comb(len(items) + max_terms, max_terms)
     if total > DEFAULT_MEMBER_BUDGET:
         raise BudgetExceededError(descriptor, total, DEFAULT_MEMBER_BUDGET)
     games = [game(item) for item in items]
@@ -609,7 +610,7 @@ def quotient_monoid(
         if conjugate(g) not in set(gens):
             raise ValueError("generator set must be closed under conjugation")
     labels = {g: _generator_label(g) for g in gens}
-    total = sum(comb(len(gens) + size - 1, size) for size in range(max_terms + 1))
+    total = comb(len(gens) + max_terms, max_terms)
     if total > DEFAULT_MEMBER_BUDGET:
         raise BudgetExceededError(
             "monoid generator sums", total, DEFAULT_MEMBER_BUDGET

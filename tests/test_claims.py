@@ -1,11 +1,22 @@
 """The claim registry: every checker runs, passes, and reports faithfully."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
-from deadending import ZERO, add, conjugate, dyadic_game, outcome_geq, outcome_misere
+from deadending import (
+    ZERO,
+    NumberLiteral,
+    Outcome,
+    add,
+    conjugate,
+    dyadic_game,
+    outcome_geq,
+    outcome_misere,
+)
+from deadending import claims
 from deadending.claims import (
     Bounds,
     ClaimReport,
@@ -187,3 +198,80 @@ def test_seed_changes_only_the_sampled_claim():
         ),
     )
     assert a.status == b.status == "pass"
+
+
+# Failure details are formatted only when a case fails; a forced failure must
+# still file the witnesses the eager formatting filed, key for key.  Each row:
+# claim, the name patched, its stand-in, the first witness, and the lazily
+# formatted field of every witness in order.
+TINY = Bounds(
+    birthday=1,
+    options=2,
+    terms=2,
+    exponent=1,
+    magnitude=1,
+    scan_birthday=1,
+    struct_exponent=3,
+)
+FORCED_REFUTATIONS = [
+    (
+        "lemma:follower-closed",
+        (claims, "is_dead_ending", lambda g: False),
+        {"game": "0", "role": "non-dead-ending follower", "of": "0"},
+        ["0", "-1", "-1", "1", "1", "*", "*"],
+    ),
+    (
+        "thm:ends-invertible",
+        (claims, "outcome_misere_sum", lambda g, h: Outcome.R),
+        {"game": "0", "role": "left-end context escapes L/N", "around": "0"},
+        ["0", "0", "-1", "-1", "1", "1"],
+    ),
+    (
+        "thm:int-incomparable",
+        (claims, "outcome_misere_sum", lambda g, h: Outcome.P),
+        {"game": "1", "role": "n + conj(m) not R", "pair": "0,-1"},
+        ["0,-1"] * 4 + ["1,-1"] * 6 + ["1,0"] * 5,
+    ),
+    (
+        "lemma:number-sum-outcome",
+        (claims, "number_sum_outcome", lambda combo: None),
+        {"game": "0", "role": "solver disagrees with length rule", "terms": "0"},
+        ["0", "-1", "-1/2", "1/2", "1", "-1 + -1", "-1 + -1/2", "-1 + 1/2", "-1 + 1",
+         "-1/2 + -1/2", "-1/2 + 1/2", "-1/2 + 1", "1/2 + 1/2", "1/2 + 1", "1 + 1"],
+    ),
+    (
+        "lemma:number-plus-end",
+        (claims, "outcome_misere_sum", lambda g, h: Outcome.R),
+        {"game": "0", "role": "left end spoils a Left-won number sum", "terms": "-1"},
+        ["-1", "-1", "-1/2", "-1/2", "-1 + -1", "-1 + -1", "-1 + -1/2", "-1 + -1/2",
+         "-1/2 + -1/2", "-1/2 + -1/2"],
+    ),
+    (
+        "lemma:simplicity-length",
+        (NumberLiteral, "left_length", lambda self: 0),
+        {"game": "1/8", "role": "option length not below inner number length",
+         "pair": "1/4,1/8"},
+        ["1/4,1/8", "1/2,1/8", "1/2,1/4", "1/2,3/8", "3/4,5/8", "1,1/8", "1,1/4",
+         "1,3/8", "1,1/2", "1,5/8", "1,3/4", "1,7/8"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "claim, patch, first, fields", FORCED_REFUTATIONS, ids=[r[0] for r in FORCED_REFUTATIONS]
+)
+def test_forced_refutation_files_the_same_witnesses(monkeypatch, claim, patch, first, fields):
+    monkeypatch.setattr(*patch)
+    report = run_claim(claim, TINY)
+    assert report.status == "refuted"
+    assert json.dumps(report.witnesses[0]) == json.dumps(first)
+    field = list(first)[-1]
+    assert [w[field] for w in report.witnesses] == fields
+    assert all(list(w) == ["game", "role", field] for w in report.witnesses)
+
+
+def test_passing_cases_format_no_details(monkeypatch):
+    # a passing case calls no detail function: render is not reached
+    monkeypatch.setattr(claims, "render", lambda *args: pytest.fail("rendered"))
+    for claim in ("lemma:follower-closed", "thm:ends-invertible"):
+        assert run_claim(claim, TINY).status == "pass"

@@ -165,6 +165,13 @@ def test_verify_bound_too_small_for_a_search_exits_3():
     assert report["details"]["reason"].startswith("scan_birthday=0 too small")
 
 
+def test_verify_with_no_number_literals_runs():
+    # --v 0 leaves the number claims no literals: their closure is {0}
+    code, out, err = run_cli(["verify", "all", "--v", "0"])
+    assert code in (0, 3), err
+    assert err == "" and " 0 refuted," in out
+
+
 def test_back_to_back_calls_match_fresh_parsers():
     # one process reuses its parser; no flag or subcommand may carry over
     from deadending.cli import _parser

@@ -1,6 +1,8 @@
 """Structural layer: interning, constructors, predicates, lengths."""
 
 import functools
+import random
+import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -44,9 +46,9 @@ from deadending import (
 )
 from deadending import games, notation
 from deadending.claims import Bounds
-from deadending.games import options
+from deadending.games import ladder_game, options, sort_games
 from deadending.notation import render
-from deadending.universes import gen_dead_ending, witness_contexts
+from deadending.universes import gen_dead_ending, generate, witness_contexts
 
 
 def lit(value) -> NumberLiteral:
@@ -693,6 +695,11 @@ def recursive_struct_key(g):
     )
 
 
+def shape_sorted(games_):
+    """The order sort_games must give: birthday, then the recursive shape key."""
+    return sorted(games_, key=lambda g: (recursive_birthday(g), recursive_struct_key(g)))
+
+
 @functools.cache
 def recursive_is_dicot(g):
     return is_left_end(g) == is_right_end(g) and all(
@@ -725,7 +732,7 @@ def assert_walks_match_recursive(g):
     assert followers(g) == recursive_followers(g), g
     assert birthday(g) == recursive_birthday(g), g
     assert games.max_branching(g) == recursive_max_branching(g), g
-    assert games.struct_key(g) == recursive_struct_key(g), g
+    assert sort_games(followers(g)) == shape_sorted(followers(g)), g
     assert is_dicot(g) == recursive_is_dicot(g), g
     assert as_number(g) == recursive_as_number(g), g
     assert_side_indexed_match_mirrored(g)
@@ -760,6 +767,165 @@ def test_walks_match_recursive_on_random_games(sa, sb):
         assert_walks_match_recursive(x)
 
 
+# -- the order ----------------------------------------------------------------
+# sort_games places games by integer labels; the recursive shape key it
+# replaced is the reference (shape_sorted), which assert_walks_match_recursive
+# also checks on each game's followers.
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        lambda: gen_dead_ending(2, 2).members,
+        ladder_pack,
+        lambda: generate("numbers:j2:v1:t3").members,
+    ],
+    ids=["dead-ending:b2:k2", "ladders", "numbers:j2:v1:t3"],
+)
+def test_sort_games_matches_shape_key(members):
+    members = list(members())
+    shuffled = members[:]
+    random.Random(0).shuffle(shuffled)
+    assert sort_games(shuffled) == shape_sorted(members)
+
+
+def test_sort_games_matches_shape_key_on_mixed_birthdays():
+    members = gen_dead_ending(2, 2).members
+    mixed = list(members[::3] + ladder_pack()[::4])
+    mixed += [integer_game(n) for n in range(-6, 7)]
+    mixed += [dyadic_game(l) for l in number_literals(3, 2)]
+    mixed += [add(g, h) for g in members[:12] for h in members[40:46]]
+    mixed += [star(), intern((star(),), (ZERO,))]
+    assert len({birthday(g) for g in mixed}) >= 6
+    assert sort_games(mixed) == shape_sorted(mixed)
+    twice = mixed + mixed[::5]  # duplicates stay, side by side
+    assert sort_games(twice) == shape_sorted(twice)
+    assert sort_games([]) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(shapes, max_size=8))
+def test_sort_games_matches_shape_key_on_random_sets(shape_list):
+    built = [build(shape) for shape in shape_list]
+    built += [conjugate(g) for g in built[::2]]
+    built += [add(g, h) for g, h in zip(built, built[1:3])]
+    assert sort_games(built) == shape_sorted(built)
+
+
+def test_sort_games_on_same_birthday_ladders_matches_shape_key():
+    for rungs in range(1, 40):
+        pair = [ladder_game(rungs + 1, 1), ladder_game(rungs, 2)]
+        assert sort_games(pair) == shape_sorted(pair) == pair[::-1], rungs
+
+
+def layered_sorted(games_):
+    """The order of sort_games, day by day with dense ranks and no gaps: each
+    new birthday re-sorts every game placed so far, so it is quadratic in
+    depth; it recurses nowhere."""
+    closure, todo = set(games_), list(games_)
+    while todo:
+        for o in options(todo.pop()):
+            if o not in closure:
+                closure.add(o)
+                todo.append(o)
+    days = {}
+    for g in closure:
+        days.setdefault(birthday(g), []).append(g)
+    rank, placed = {}, []
+    for day in sorted(days):
+        placed += days[day]
+        placed.sort(
+            key=lambda g: (
+                tuple(sorted(rank[x] for x in left_options(g))),
+                tuple(sorted(rank[x] for x in right_options(g))),
+            )
+        )
+        rank = {g: i for i, g in enumerate(placed)}
+    return sorted(games_, key=lambda g: (birthday(g), rank[g]))
+
+
+def test_layered_reference_matches_shape_key():
+    members = list(gen_dead_ending(2, 2).members + ladder_pack())
+    assert layered_sorted(members) == shape_sorted(members)
+
+
+def test_sort_games_relabels_a_chain_into_one_gap():
+    # each negative integer lands just above the one before it, below 1: the
+    # gap there runs out again and again, and everything is relabelled; the
+    # probes {-k | } and {-k, 1-k | } tell apart neighbours in that gap
+    span = 400
+    integers = [integer_game(s * k) for k in range(1, span + 1) for s in (-1, 1)]
+    expected = [ZERO] + integers
+    assert shallow(sort_games, expected[::-1]) == expected
+    probes = [intern((integer_game(-k),), ()) for k in range(2, span)]
+    probes += [intern((integer_game(-k), integer_game(1 - k)), ()) for k in range(2, span)]
+    probes += [intern((), (integer_game(-k), integer_game(k))) for k in range(2, span, 7)]
+    # and games over pairs of them far apart in depth, which compare labels
+    # given before a relabelling with labels given after it
+    rng = random.Random(1)
+    for _ in range(300):
+        a, b = rng.sample(integers + probes, 2)
+        probes += [intern((a,), ()), intern((a, b), ()), intern((a,), (b,))]
+    mixed = integers[::-1] + probes
+    assert shallow(sort_games, mixed) == layered_sorted(mixed)
+
+
+# -- integers -------------------------------------------------------------------
+
+
+def looped_integer(n):
+    """The integer n built from zero up, one level at a time."""
+    g = ZERO
+    for _ in range(abs(n)):
+        g = intern((g,), ()) if n > 0 else intern((), (g,))
+    return g
+
+
+def test_integer_game_matches_the_loop_from_zero_in_any_call_order():
+    for n in (37, 5, -12, 40, -3, 0, 41, -13, 1, -1):
+        assert integer_game(n) == looped_integer(n), n
+
+
+def test_integer_game_reads_the_chain_it_built(monkeypatch):
+    expected = {n: looped_integer(n) for n in (-2000, -1999, 0, 1999, 2000)}
+    for n in (2000, -2000):
+        integer_game(n)
+
+    def refuse(*args):
+        pytest.fail(f"interned {args}")
+
+    monkeypatch.setattr(games, "intern", refuse)
+    found = {n: integer_game(n) for n in range(-2000, 2001)}
+    assert len(set(found.values())) == 4001
+    assert {n: found[n] for n in expected} == expected
+
+
+def test_concurrent_calls_extend_the_integer_chain_once():
+    # a level appended twice, or skipped, breaks the chain's links
+    chain = games._INTEGERS[0]
+    top = len(chain) - 1
+    barrier = threading.Barrier(8)
+
+    def worker(slot):
+        barrier.wait()
+        integer_game(top + 200 + slot)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(chain) == top + 208
+    for k in range(1, len(chain)):
+        assert (left_options(chain[k]), right_options(chain[k])) == ((chain[k - 1],), ())
+
+
 # -- depth ----------------------------------------------------------------------
 # Games as deep as their value, walked with the recursion limit just above the
 # caller's depth (tests/depth.py): any helper that recursed once per level
@@ -777,7 +943,9 @@ def test_deep_integers_answer_within_a_shallow_stack():
         assert shallow(conjugate, g) == shallow(integer_game, -n)
         assert shallow(birthday, g) == DEEP
         assert shallow(games.max_branching, g) == 1
-        assert shallow(games.struct_key, g)[n > 0] == ()
+        mirror = shallow(conjugate, g)
+        negative, positive = (mirror, g) if n > 0 else (g, mirror)
+        assert shallow(sort_games, [positive, ZERO, negative]) == [ZERO, negative, positive]
         assert (shallow(left_length, g), shallow(right_length, g)) == (
             literal.left_length(),
             literal.right_length(),
@@ -789,6 +957,13 @@ def test_deep_integers_answer_within_a_shallow_stack():
         assert shallow(add, g, star()) == shallow(add, star(), g)
         step = integer_game(3 if n > 0 else -3)  # same-sign sums stay canonical
         assert shallow(as_integer, shallow(add, g, step)) == n + as_integer(step)
+
+
+def test_deep_same_birthday_ladders_sort_within_a_shallow_stack():
+    # nested shape keys of these two compare level by level: RecursionError
+    low, high = ladder_game(DEEP, 2), ladder_game(DEEP + 1, 1)
+    assert birthday(low) == birthday(high)
+    assert shallow(sort_games, [high, low]) == shallow(sort_games, [low, high]) == [low, high]
 
 
 def test_deep_ladder_answers_within_a_shallow_stack():

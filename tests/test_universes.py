@@ -169,6 +169,23 @@ def test_number_closure_over_budget_builds_no_game(descriptor):
     assert store_size() == before
 
 
+def test_closure_of_no_items_is_zero():
+    assert generate("numbers:j0:v0:t2").members == (ZERO,)
+    assert generate("numbers:j3:v0:t3").members == (ZERO,)
+    assert generate("numbers:j1:v1:t0").members == (ZERO,)
+
+
+@pytest.mark.parametrize(
+    "descriptor, items, terms",
+    [("numbers:j10:v8:t3", 2 * 8 * 2**10, 3), ("numbers:j0:v2000:t2", 4000, 2)],
+)
+def test_closure_budget_counts_every_multiset(descriptor, items, terms):
+    # one per multiset of at most `terms` literals, summed size by size
+    with pytest.raises(BudgetExceededError) as err:
+        generate(descriptor)
+    assert err.value.needed == sum(comb(items + k - 1, k) for k in range(terms + 1))
+
+
 def test_gen_dead_ending_capped_prefix():
     full = gen_dead_ending(2, 2)
     sliced = gen_dead_ending(3, 2, cap=300)
