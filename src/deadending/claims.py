@@ -110,9 +110,11 @@ class Bounds:
         return self._dead_ending_tests
 
     def closure_tests(self) -> TestSet:
-        return gen_dead_end_closure(self.birthday, self.options, self.terms)
+        return self._closure_tests
 
     def number_tests(self) -> TestSet:
+        # not kept: one claim reads it, and its 6,479-context table would
+        # outlive that claim
         return gen_number_closure(self.exponent, self.magnitude, self.terms)
 
     def ladder_pack(self) -> TestSet:
@@ -122,6 +124,10 @@ class Bounds:
     @cached_property
     def _dead_ending_tests(self) -> TestSet:
         return gen_dead_ending(self.scan_birthday, self.options)
+
+    @cached_property
+    def _closure_tests(self) -> TestSet:
+        return gen_dead_end_closure(self.birthday, self.options, self.terms)
 
     @cached_property
     def _ladder_pack(self) -> TestSet:
@@ -543,15 +549,20 @@ def _claim_number_sum_outcome(bounds: Bounds) -> _Check:
 def _claim_number_collapses(bounds: Bounds) -> _Check:
     check = _Check()
     tests = bounds.number_tests()
-    for lit in number_literals(bounds.exponent, bounds.magnitude):
-        label = lit.signed_length()
-        verdict = equiv_mod(dyadic_game(lit), integer_game(label), tests)
+    # each literal's game, then its length integer's: the order that fixes ids
+    pairs = [
+        (lit, dyadic_game(lit), integer_game(lit.signed_length()))
+        for lit in number_literals(bounds.exponent, bounds.magnitude)
+    ]
+    tests.table.solve(game for _, g, n in pairs for game in (g, n))
+    for lit, g, n in pairs:
+        verdict = equiv_mod(g, n, tests)
         check.run(
             isinstance(verdict, IndistinguishableUpTo),
-            dyadic_game(lit),
+            g,
             "number distinguished from its length integer over numbers",
             literal=str(lit),
-            integer=label,
+            integer=lit.signed_length(),
         )
     check.details["tests"] = tests.descriptor
     return check

@@ -519,10 +519,13 @@ def _as_number(g: GameId) -> Optional[NumberLiteral]:
         return NumberLiteral(0, 0)
     if len(left) + len(right) == 1:
         # n > 0 is {n-1 | } and n < 0 its mirror: read a chain of such steps
-        # down to its base in a loop, so that its levels take no memo entries
-        step, rungs, node = (1 if left else -1), 0, _nodes[g]
+        # down to its base in a loop, so that its levels take no memo entries;
+        # a level already read is a base, so integers read upwards cost one step
+        step, rungs, node, memo = (1 if left else -1), 0, _nodes[g], _as_number.memo
         while len(node[0]) + len(node[1]) == 1 and bool(node[0]) == (step > 0):
             rungs, base = rungs + 1, (node[0] or node[1])[0]
+            if base in memo:
+                break
             node = _nodes[base]
         sub = yield base
         if sub is not None and sub.is_integer and sub.numerator * step >= 0:

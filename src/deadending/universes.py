@@ -10,11 +10,14 @@ outright, but can confirm it only up to the declared bounds, so every
 Every scan reads outcome rows from the test set's ContextTable, built on
 first use.  A game's row holds, for each context X of the table, whether
 Left and whether Right wins g + X moving first; it is computed from the rows
-of g's options in one pass over the contexts in birthday order, so no sum is
-built or searched.  A scan is then a bit predicate on two rows, and the
-first set byte names the first witnessing member.  Two games are
-indistinguishable over the test set exactly when their rows agree on the
-members, so the monoid quotient partitions sums by that signature.
+of g's options by a pass over the contexts in birthday order, so no sum is
+built or searched.  A pass solves up to eight games at once, one bit of each
+context byte per game, so callers that need many rows (the monoid quotient,
+the number-collapse claim) request them together.  A scan is then a bit
+predicate on two rows, and the first set byte names the first witnessing
+member.  Two games are indistinguishable over the test set exactly when
+their rows agree on the members, so the monoid quotient partitions sums by
+that signature.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ from .games import (
     ZERO,
     GameId,
     NumberLiteral,
-    _all,
-    _walk,
     add,
     add_all,
     as_number,
@@ -104,7 +105,8 @@ class ContextTable:
 
     `contexts` holds the members, in order, followed by every other follower
     of a member, so a member's index in the table is its index in the test
-    set.  Rows are computed on demand and kept for the table's lifetime.
+    set.  Rows are solved on request, up to eight games per pass over the
+    contexts, and kept for the table's lifetime.
     """
 
     def __init__(self, members: Sequence[GameId]):
@@ -134,30 +136,69 @@ class ContextTable:
         self._rows: dict[GameId, Row] = {}
 
     def row(self, g: GameId) -> Row:
-        """g's row, solved after the rows of its followers."""
-        return self._rows.get(g) or _walk(self._solve, g, self._rows)
+        """g's row, solved (with its unsolved followers) if not yet kept."""
+        if g not in self._rows:
+            self.solve((g,))
+        return self._rows[g]
 
-    def _solve(self, g: GameId):
-        yield from _all(options(g))  # the option rows, read below
+    def solve(self, games: Iterable[GameId]) -> None:
+        """Solve and keep the rows of the games and of their unsolved followers.
+
+        The unsolved followers, sorted by id (an option's id is below its
+        game's), are grouped by height above the rows already kept, so a
+        game's options are solved in an earlier group.  Each group is solved
+        in passes of up to eight games over the contexts, bit b of every
+        context byte standing for the pass's game b.
+        """
+        rows = self._rows
+        todo = {g for g in games if g not in rows}
+        stack = list(todo)
+        while stack:
+            for o in options(stack.pop()):
+                if o not in rows and o not in todo:
+                    todo.add(o)
+                    stack.append(o)
+        height: dict[GameId, int] = {}
+        levels: list[list[GameId]] = []
+        for g in sorted(todo):
+            h = max([height[o] + 1 for o in options(g) if o in height], default=0)
+            height[g] = h
+            if h == len(levels):
+                levels.append([])
+            levels[h].append(g)
+        for level in levels:
+            for start in range(0, len(level), 8):
+                self._pass(level[start:start + 8])
+
+    def _pass(self, games: Sequence[GameId]) -> None:
+        """Solve the rows of up to eight games whose options' rows are kept."""
         # Left moving first in g + X wins by a move g^L + X that Right loses
         # moving first, by a move g + X^L likewise, or by having no move at
         # all; the first kind is a whole-row operation on the option rows
-        seed_left = self._seed(left_options(g), 1, self._no_left)
-        seed_right = self._seed(right_options(g), 0, self._no_right)
+        seed_left = seed_right = 0
+        for b, g in enumerate(games):
+            seed_left |= self._seed(left_options(g), 1, self._no_left) << b
+            seed_right |= self._seed(right_options(g), 0, self._no_right) << b
         wl = bytearray(seed_left.to_bytes(self._size, "little"))
         wr = bytearray(seed_right.to_bytes(self._size, "little"))
+        full = (1 << len(games)) - 1
         for i, lo, ro in self._steps:
-            if not wl[i]:
+            if wl[i] != full:
+                lost = full  # the games whose every move X^L wins for Right
                 for j in lo:
-                    if not wr[j]:
-                        wl[i] = 1
-                        break
-            if not wr[i]:
+                    lost &= wr[j]
+                if lost != full:
+                    wl[i] |= full ^ lost
+            if wr[i] != full:
+                lost = full
                 for j in ro:
-                    if not wl[j]:
-                        wr[i] = 1
-                        break
-        return int.from_bytes(wl, "little"), int.from_bytes(wr, "little")
+                    lost &= wl[j]
+                if lost != full:
+                    wr[i] |= full ^ lost
+        left, right = int.from_bytes(wl, "little"), int.from_bytes(wr, "little")
+        ones = self._ones
+        for b, g in enumerate(games):
+            self._rows[g] = (left >> b) & ones, (right >> b) & ones
 
     def _seed(self, opts: tuple[GameId, ...], reply: int, no_move: int) -> int:
         """Contexts the mover wins through g: an option whose row loses for the
@@ -174,7 +215,8 @@ class ContextTable:
         self, g: GameId, h: GameId, predicate: Callable[[Row, Row], int]
     ) -> Optional[int]:
         """First member index where predicate(row(g), row(h)) sets a byte, or None."""
-        hits = predicate(self.row(g), self.row(h)) & self._member_mask
+        self.solve((g, h))
+        hits = predicate(self._rows[g], self._rows[h]) & self._member_mask
         if not hits:
             return None
         return ((hits & -hits).bit_length() - 1) >> 3
@@ -606,9 +648,9 @@ def quotient_monoid(
     gens = sort_games(set(generators))
     if not gens:
         raise ValueError("at least one generator required")
-    for g in gens:
-        if conjugate(g) not in set(gens):
-            raise ValueError("generator set must be closed under conjugation")
+    gen_set = set(gens)
+    if any(conjugate(g) not in gen_set for g in gens):
+        raise ValueError("generator set must be closed under conjugation")
     labels = {g: _generator_label(g) for g in gens}
     total = comb(len(gens) + max_terms, max_terms)
     if total > DEFAULT_MEMBER_BUDGET:
@@ -632,9 +674,11 @@ def quotient_monoid(
             else:
                 sums[s] = label
 
+    table = tests.table
+    table.solve(sums)
     by_signature: dict[Row, MonoidClass] = {}
     for s in sort_games(sums):
-        signature = tests.table.signature(s)
+        signature = table.signature(s)
         cls = by_signature.get(signature)
         if cls is None:
             by_signature[signature] = MonoidClass(sums[s], s, [s], outcome_misere(s))
@@ -653,19 +697,23 @@ def quotient_monoid(
 
     by_label = {cls.label: cls for cls in classes}
     product: dict[tuple[int, int], int] = {}
-    product_verified: dict[tuple[int, int], bool] = {}
+    pairs: dict[tuple[int, int], tuple[GameId, GameId]] = {}
     for la in label_list:
         for lb in label_list:
             target = la + lb
             product[(la, lb)] = target
+            # built in this order, sum then reference, so that ids never move
             combined = add(by_label[la].representative, by_label[lb].representative)
             if target in by_label:
                 reference = by_label[target].representative
             else:
                 reference = integer_game(target)
-            product_verified[(la, lb)] = isinstance(
-                equiv_mod(combined, reference, tests), IndistinguishableUpTo
-            )
+            pairs[(la, lb)] = combined, reference
+    table.solve(itertools.chain.from_iterable(pairs.values()))
+    product_verified = {
+        key: isinstance(equiv_mod(g, h, tests), IndistinguishableUpTo)
+        for key, (g, h) in pairs.items()
+    }
 
     zero_class = next((cls for cls in classes if ZERO in cls.members), None)
     if zero_class is None:

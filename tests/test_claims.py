@@ -91,6 +91,22 @@ def test_bounds_build_scan_test_sets_once():
     }
 
 
+def test_closure_test_set_is_built_once_per_bounds(monkeypatch):
+    built = []
+    generate = claims.gen_dead_end_closure
+
+    def counted(*args):
+        built.append(args)
+        return generate(*args)
+
+    monkeypatch.setattr(claims, "gen_dead_end_closure", counted)
+    bounds = Bounds(**SMALL.to_dict())  # equal to SMALL, with nothing built yet
+    assert bounds.closure_tests() is bounds.closure_tests()
+    for claim in ("thm:int-total-order", "lemma:end-to-integer"):
+        assert run_claim(claim, bounds).status == "pass"
+    assert built == [(2, 2, 2)]
+
+
 def test_unknown_claim_rejected():
     with pytest.raises(ValueError):
         run_claim("thm:unheard-of")

@@ -225,21 +225,36 @@ def test_golden_files(name):
     assert data == expected
 
 
-def test_cli_deterministic_across_processes():
-    argv = [sys.executable, "-m", "deadending.cli", "equiv", "1/2", "1",
-            "--tests", "dead-ending:b2:k2", "--json"]
+def run_child(module, argv):
+    """Run `python -m module argv` in a fresh process."""
     # the child imports this package even when it is not installed
     package_root = str(pathlib.Path(deadending.__file__).parents[1])
     path = filter(None, [package_root, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    runs = [
-        subprocess.run(argv, capture_output=True, text=True, check=False, env=env)
-        for _ in range(2)
-    ]
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        capture_output=True, text=True, check=False, env=env,
+    )
+
+
+EQUIV_ARGV = ["equiv", "1/2", "1", "--tests", "dead-ending:b2:k2", "--json"]
+
+
+def test_cli_deterministic_across_processes():
+    runs = [run_child("deadending.cli", EQUIV_ARGV) for _ in range(2)]
     assert runs[0].returncode == runs[1].returncode == 1
     first = scrub(json.loads(runs[0].stdout))
     second = scrub(json.loads(runs[1].stdout))
     assert first == second
+
+
+def test_python_dash_m_deadending_runs_the_cli():
+    package = run_child("deadending", EQUIV_ARGV)
+    module = run_child("deadending.cli", EQUIV_ARGV)
+    assert package.returncode == module.returncode == 1  # the exit code passes through
+    assert scrub(json.loads(package.stdout)) == scrub(json.loads(module.stdout))
+    usage = run_child("deadending", [])
+    assert usage.returncode == 2 and "usage" in usage.stderr
 
 
 def test_internal_error_exits_4_with_one_line(monkeypatch):

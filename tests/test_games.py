@@ -738,6 +738,54 @@ def assert_walks_match_recursive(g):
     assert_side_indexed_match_mirrored(g)
 
 
+def test_chain_reads_that_stop_at_a_level_already_read_match_the_recursion():
+    # a chain read stops at a level whose value is memoized, so reading the
+    # levels in any order must give the recursion's answers
+    bases = [
+        ZERO,
+        star(),
+        dyadic_game(lit("1/2")),
+        integer_game(2),
+        integer_game(-3),
+        intern((integer_game(7),), (integer_game(19),)),
+    ]
+    chains = []
+    for base in bases:
+        for side in (0, 1):
+            g, chain = base, []
+            for _ in range(6):
+                g = intern((g,), ()) if side == 0 else intern((), (g,))
+                chain.append(g)
+            chains += chain
+    rng = random.Random(7)
+    for _ in range(20):
+        games._as_number.memo.clear()  # a cache of a pure function
+        rng.shuffle(chains)
+        for g in chains:
+            assert as_number(g) == recursive_as_number(g), g
+
+
+class CountingNodes(list):
+    """A copy of the node table that counts the nodes read from it."""
+
+    reads = 0
+
+    def __getitem__(self, g):
+        self.reads += 1
+        return super().__getitem__(g)
+
+
+def test_integers_read_upwards_read_each_level_once(monkeypatch):
+    labels = sorted(range(-2000, 2001), key=abs)
+    chain = [integer_game(n) for n in labels]
+    nodes = CountingNodes(games._nodes)
+    monkeypatch.setattr(games, "_nodes", nodes)
+    games._as_number.memo.clear()  # a cache of a pure function
+    assert [as_integer(g) for g in chain] == labels
+    assert nodes.reads <= 5 * len(labels)  # each read walked the chain: 2 M
+    assert len(nodes) == len(games._index)  # nothing was interned into the copy
+
+
 def ladder_pack():
     return Bounds().ladder_pack().members
 

@@ -30,10 +30,11 @@ from deadending import (
 )
 from deadending import universes
 from deadending.claims import Bounds
-from deadending.games import max_branching, sort_games, store_size
+from deadending.games import followers, max_branching, sort_games, store_size
 from deadending.universes import (
     BudgetExceededError,
     Comparison,
+    ContextTable,
     Distinguished,
     GeqConsistentUpTo,
     IncomparableWitnessed,
@@ -55,6 +56,7 @@ from deadending.universes import (
     witness_contexts,
 )
 
+from depth import shallow
 from strategies import build, shapes
 
 
@@ -516,6 +518,72 @@ def test_table_rows_match_pair_search_on_random_games(shape):
     g = build(shape)
     for tests in (SCAN, LADDERS):
         assert_rows_match_pair_search(g, tests)
+
+
+def solved(members, requests):
+    """A fresh table's rows after solving each request in turn, and the number
+    of games in each of its passes."""
+    table = ContextTable(members)
+    sizes = []
+    solve_pass = table._pass
+    table._pass = lambda games: sizes.append(len(games)) or solve_pass(games)
+    for request in requests:
+        table.solve(request)
+    return table, sizes
+
+
+def one_at_a_time(members, games):
+    """A fresh table's rows solved one game per pass, options first."""
+    closure = set().union(*map(followers, games))
+    table, sizes = solved(members, [(g,) for g in sorted(closure)])
+    assert sizes == [1] * len(closure)
+    return table._rows
+
+
+def monoid_sums():
+    """The generator sums of the `monoid-quotient` workload."""
+    gens = [dyadic_game(l) for l in number_literals(3, 1, include_zero=True)]
+    return [add(g, h) for g, h in itertools.combinations_with_replacement(gens, 2)]
+
+
+@pytest.mark.parametrize(
+    "tests, games",
+    [
+        (lambda: gen_number_closure(3, 2, 2), monoid_sums),
+        (lambda: LADDERS, row_pool),
+        (lambda: SCAN, row_pool),
+    ],
+    ids=["numbers:j3:v2:t2", "ladders", "dead-ending:b2:k2"],
+)
+def test_bulk_rows_match_rows_solved_one_game_at_a_time(tests, games):
+    ts = tests()
+    pool = list(ts.members) + games()
+    table, sizes = solved(ts.members, [pool])
+    assert max(sizes) == 8 and len(sizes) < len(table._rows) / 2
+    assert table._rows == one_at_a_time(ts.members, pool)
+
+
+@pytest.mark.parametrize("count, sizes", [(1, [1]), (8, [8]), (9, [8, 1])])
+def test_a_level_is_solved_in_passes_of_up_to_eight(count, sizes):
+    base = [integer_game(n) for n in (-1, 0, 1)]
+    sides = [()] + [(x,) for x in base] + list(itertools.combinations(base, 2))
+    level = [intern(left, right) for left in sides for right in sides]
+    level = [g for g in level if g not in base][:count]
+    table, passes = solved(SCAN.members, [base, level])
+    assert passes[-len(sizes):] == sizes  # the base's passes come first
+    assert table._rows == one_at_a_time(SCAN.members, base + level)
+    for g in level:
+        for i, x in enumerate(table.contexts):
+            assert table.outcome(g, i) == outcome_misere_sum(g, x), (g, x)
+
+
+def test_deep_row_solves_within_a_shallow_stack():
+    deep, table = integer_game(10**4), ContextTable(SCAN.members)
+    # over contexts of birthday 2 the rows of the integers are constant from 3
+    assert shallow(table.row, deep) == table.row(integer_game(3))
+    for i in (0, 40, 90):
+        x = table.contexts[i]
+        assert table.outcome(deep, i) == shallow(outcome_misere_sum, deep, x)
 
 
 @pytest.mark.parametrize(
