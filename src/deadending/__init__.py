@@ -44,43 +44,3 @@ from .outcomes import (
     outcome_misere_sum,
     outcome_normal,
 )
-
-__all__ = [
-    "ZERO",
-    "GameId",
-    "NumberLiteral",
-    "Outcome",
-    "add",
-    "add_all",
-    "as_integer",
-    "as_lambda",
-    "as_number",
-    "birthday",
-    "conjugate",
-    "conjugate_outcome",
-    "dead_end_sum_outcome",
-    "dyadic_game",
-    "followers",
-    "integer_game",
-    "intern",
-    "is_dead_end",
-    "is_dead_ending",
-    "is_dead_left_end",
-    "is_dead_right_end",
-    "is_dicot",
-    "is_left_end",
-    "is_right_end",
-    "lambda_game",
-    "left_length",
-    "left_options",
-    "normal_geq",
-    "number_literals",
-    "number_sum_outcome",
-    "outcome_geq",
-    "outcome_misere",
-    "outcome_misere_sum",
-    "outcome_normal",
-    "right_length",
-    "right_options",
-    "star",
-]

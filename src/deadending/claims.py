@@ -14,7 +14,6 @@ import functools
 import itertools
 import random
 import time
-from copy import deepcopy
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -55,10 +54,7 @@ from .outcomes import (
     outcome_misere_sum,
 )
 from .universes import (
-    Comparison,
-    Distinguished,
-    GeqConsistentUpTo,
-    IndistinguishableUpTo,
+    Relation,
     Row,
     TestSet,
     _differ,
@@ -147,10 +143,6 @@ class ClaimReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ClaimReport":
-        return cls(**deepcopy(data))
 
     def line(self) -> str:
         mark = {"pass": "PASS", "refuted": "FAIL", "skipped": "SKIP"}[self.status]
@@ -305,10 +297,10 @@ def _claim_ends_invertible(bounds: Bounds) -> _Check:
     for g in gen_dead_ends(bounds.birthday, bounds.options):
         verdict = invert_check(g, tests)
         check.run(
-            isinstance(verdict, IndistinguishableUpTo),
+            not verdict.witnesses,
             g,
             "end plus conjugate distinguished from zero",
-            witness=render(verdict.witness) if isinstance(verdict, Distinguished) else None,
+            witness=render(verdict.witnesses[0]) if verdict.witnesses else None,
         )
         paired = add(g, conjugate(g))
         for x in left_ends:
@@ -332,20 +324,20 @@ def _claim_int_total_order(bounds: Bounds) -> _Check:
                 continue
             verdict = geq_mod(integer_game(n), integer_game(m), tests)
             check.run(
-                isinstance(verdict, GeqConsistentUpTo),
+                not verdict.witnesses,
                 integer_game(n),
                 "smaller integer not >= larger over closure",
                 pair=f"{n},{m}",
             )
             strict = equiv_mod(integer_game(n), integer_game(m), tests)
             check.search(
-                isinstance(strict, Distinguished),
+                bool(strict.witnesses),
                 f"terms={bounds.terms} too small: {n} and {m} indistinguishable "
                 f"over {tests.descriptor}",
             )
-            if isinstance(strict, Distinguished):
+            if strict.witnesses:
                 check.run(
-                    compare_integers_mod_dead_end_closure(n, m) == Comparison.GREATER,
+                    compare_integers_mod_dead_end_closure(n, m).relation is Relation.GREATER,
                     integer_game(n),
                     "closed form disagrees",
                     pair=f"{n},{m}",
@@ -397,7 +389,7 @@ def _claim_end_to_integer(bounds: Bounds) -> _Check:
         literal = reduce_end_to_integer(g)
         verdict = equiv_mod(g, dyadic_game(literal), tests)
         check.run(
-            isinstance(verdict, IndistinguishableUpTo),
+            not verdict.witnesses,
             g,
             "end distinguished from its integer",
             integer=str(literal),
@@ -558,7 +550,7 @@ def _claim_number_collapses(bounds: Bounds) -> _Check:
     for lit, g, n in pairs:
         verdict = equiv_mod(g, n, tests)
         check.run(
-            isinstance(verdict, IndistinguishableUpTo),
+            not verdict.witnesses,
             g,
             "number distinguished from its length integer over numbers",
             literal=str(lit),
@@ -596,7 +588,7 @@ def _claim_numbers_invertible(bounds: Bounds) -> _Check:
     for lit in number_literals(bounds.exponent, bounds.magnitude):
         verdict = invert_check(dyadic_game(lit), tests)
         check.run(
-            isinstance(verdict, IndistinguishableUpTo),
+            not verdict.witnesses,
             dyadic_game(lit),
             "number plus conjugate distinguished from zero",
             literal=str(lit),
@@ -703,10 +695,10 @@ def _claim_number_order(bounds: Bounds) -> _Check:
     incomparable_checked = 0
     for i, a in enumerate(literals):
         for b in literals[i + 1 :]:
-            relation = compare_numbers_mod_E(a, b)
+            relation = compare_numbers_mod_E(a, b).relation
             ga, gb = dyadic_game(a), dyadic_game(b)
-            if relation in (Comparison.GREATER, Comparison.LESS):
-                hi, lo = (ga, gb) if relation == Comparison.GREATER else (gb, ga)
+            if relation in (Relation.GREATER, Relation.LESS):
+                hi, lo = (ga, gb) if relation is Relation.GREATER else (gb, ga)
                 greater_checked += 1
                 stray = _context_witness(hi, lo, _fails_geq, tests, pack)
                 check.run(
@@ -718,7 +710,7 @@ def _claim_number_order(bounds: Bounds) -> _Check:
                 strict = _context_witness(lo, hi, _fails_geq, tests, pack)
                 ok = strict is not None and _verify_refutation(lo, hi, strict[0])
                 check.run(ok, lo, "strictness witness missing", pair=f"{a},{b}")
-            elif relation == Comparison.INCOMPARABLE:
+            elif relation is Relation.INCOMPARABLE:
                 incomparable_checked += 1
                 for x, y in ((a, b), (b, a)):
                     gx, gy = dyadic_game(x), dyadic_game(y)
@@ -796,7 +788,7 @@ def _claim_zero_family(bounds: Bounds) -> _Check:
     for g in matched:
         verdict = equiv_mod(g, ZERO, tests)
         check.run(
-            isinstance(verdict, IndistinguishableUpTo),
+            not verdict.witnesses,
             g,
             "family member distinguished from zero",
         )
@@ -809,15 +801,16 @@ def _claim_star_squared(bounds: Bounds) -> _Check:
     check = _Check()
     tests = bounds.dead_ending_tests()
     verdict = invert_check(star(), tests)
-    found = isinstance(verdict, Distinguished)
+    found = bool(verdict.witnesses)
     check.search(found, f"scan_birthday={bounds.scan_birthday} too small: "
                  f"no witness in {tests.descriptor}")
     if found:
+        first, second = verdict.outcomes
         check.witnesses.append(
             _witness(
-                verdict.witness,
+                verdict.witnesses[0],
                 "separates star + star from zero",
-                outcomes=f"{verdict.first_outcome.value} vs {verdict.second_outcome.value}",
+                outcomes=f"{first.value} vs {second.value}",
             )
         )
     check.details["tests"] = tests.descriptor

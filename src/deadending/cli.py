@@ -1,13 +1,14 @@
 """Command-line front end over the engine.
 
 Exit codes: 0 for a successful computation (or an all-pass verification run),
-1 when the computed answer is a refutation (distinguished, refuted, or
-incomparable), 2 for usage or notation errors, 3 when a generation or
-wall-clock budget was exceeded or a verify bound was too small for a search
-to settle a claim (a `skipped` report whose details.reason names the bound),
-4 for an internal error (any other exception, reported on one line).  All
-diagnostics go to stderr; --json emits a stable envelope {command, inputs,
-result, witnesses, bounds, duration_ms}.
+1 when the computed answer is a refutation (a scan's verdict with a witness:
+distinguished, refuted or incomparable; or a closed form's incomparable),
+2 for usage or notation errors, 3 when a generation or wall-clock budget was
+exceeded or a verify bound was too small for a search to settle a claim (a
+`skipped` report whose details.reason names the bound), 4 for an internal
+error (any other exception, reported on one line).  All diagnostics go to
+stderr; --json emits a stable envelope {command, inputs, result, witnesses,
+bounds, duration_ms}.
 """
 
 from __future__ import annotations
@@ -46,10 +47,8 @@ from .notation import ParseError, parse_game, render
 from .outcomes import outcome_misere, outcome_normal
 from .universes import (
     BudgetExceededError,
-    Comparison,
-    GeqConsistentUpTo,
-    IndistinguishableUpTo,
-    Refuted,
+    Relation,
+    Verdict,
     compare_integers_mod_dead_end_closure,
     compare_numbers_mod_E,
     equiv_mod,
@@ -162,6 +161,32 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
     return out.finish(_EXIT_OK)
 
 
+def _finish_verdict(out: _Emitter, verdict: Verdict) -> int:
+    """Render a verdict; exit 1 when it refutes: a witness, or incomparable."""
+    name = verdict.relation.value
+    shown = [render(w) for w in verdict.witnesses]
+    out.witnesses = [{"game": w} for w in shown]
+    if verdict.exact:
+        out.result = {"relation": name, "universe": verdict.basis}
+        out.say(name)
+    elif not shown:
+        out.result = {"verdict": f"{name}-up-to", "tests": verdict.basis}
+        out.say(f"{name.replace('-', ' ')} up to {verdict.basis}")
+    else:
+        out.result = {"verdict": name}
+        if verdict.relation is Relation.DISTINGUISHED:
+            first, second = (o.value + "-" for o in verdict.outcomes)
+            out.witnesses[0]["outcomes"] = [first, second]
+            out.say(f"distinguished by {shown[0]} [{first} vs {second}]")
+        elif verdict.relation is Relation.REFUTED:
+            out.say(f"refuted by {shown[0]}")
+        else:  # incomparable: the contexts where geq, then leq, fails
+            out.witnesses[0]["direction"], out.witnesses[1]["direction"] = "geq", "leq"
+            out.say(f"incomparable [geq fails at {shown[0]}, leq fails at {shown[1]}]")
+    refutes = bool(shown) or verdict.relation is Relation.INCOMPARABLE
+    return out.finish(_EXIT_REFUTED if refutes else _EXIT_OK)
+
+
 def _cmd_equiv(ns: argparse.Namespace) -> int:
     out = _Emitter(
         "equiv", {"g": ns.g, "h": ns.h, "tests": ns.tests}, ns.json
@@ -170,39 +195,23 @@ def _cmd_equiv(ns: argparse.Namespace) -> int:
     h = parse_game(ns.h)
     tests = generate(ns.tests)
     out.bounds = {"tests": tests.descriptor, "contexts": len(tests)}
-    verdict = equiv_mod(g, h, tests)
-    if isinstance(verdict, IndistinguishableUpTo):
-        out.result = {"verdict": "indistinguishable-up-to", "tests": verdict.descriptor}
-        out.say(f"indistinguishable up to {verdict.descriptor}")
-        return out.finish(_EXIT_OK)
-    out.result = {"verdict": "distinguished"}
-    witness = render(verdict.witness)
-    first, second = verdict.first_outcome.value, verdict.second_outcome.value
-    out.witnesses = [{"game": witness, "outcomes": [first + "-", second + "-"]}]
-    out.say(f"distinguished by {witness} [{first}- vs {second}-]")
-    return out.finish(_EXIT_REFUTED)
+    return _finish_verdict(out, equiv_mod(g, h, tests))
 
 
-def _closed_form_compare(ns: argparse.Namespace, out: _Emitter) -> int:
+def _closed_form(ns: argparse.Namespace) -> Verdict:
     g = parse_game(ns.g)
     h = parse_game(ns.h)
     if ns.closed_form == "integers":
-        n, m = as_integer(g), as_integer(h)
-        if n is None or m is None:
-            raise ParseError("integer closed form needs integer games", 1, 1)
-        relation = compare_integers_mod_dead_end_closure(n, m)
-        universe = "dead-end closure"
+        read, compare = as_integer, compare_integers_mod_dead_end_closure
+        needs = "integer closed form needs integer games"
     else:
-        a, b = as_number(g), as_number(h)
-        if a is None or b is None:
-            raise ParseError("number closed form needs canonical numbers", 1, 1)
-        relation = compare_numbers_mod_E(a, b)
-        universe = "dead-ending"
-    out.result = {"relation": relation.value, "universe": universe}
-    out.say(relation.value)
-    return out.finish(
-        _EXIT_REFUTED if relation == Comparison.INCOMPARABLE else _EXIT_OK
-    )
+        read, compare = as_number, compare_numbers_mod_E
+        needs = "number closed form needs canonical numbers"
+    a, b = read(g), read(h)
+    for name, text, value in (("g", ns.g, a), ("h", ns.h, b)):
+        if value is None:
+            raise ValueError(f"{needs}, but {name} = {text!r} is not one")
+    return compare(a, b)
 
 
 def _cmd_compare(ns: argparse.Namespace) -> int:
@@ -217,7 +226,7 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
         ns.json,
     )
     if ns.closed_form is not None:
-        return _closed_form_compare(ns, out)
+        return _finish_verdict(out, _closed_form(ns))
     if ns.tests is None:
         print("compare needs --tests DESC or --closed-form", file=sys.stderr)
         return _EXIT_USAGE
@@ -225,26 +234,7 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
     h = parse_game(ns.h)
     tests = generate(ns.tests)
     out.bounds = {"tests": tests.descriptor, "contexts": len(tests)}
-    verdict = geq_mod(g, h, tests)
-    if isinstance(verdict, GeqConsistentUpTo):
-        out.result = {"verdict": "geq-consistent-up-to", "tests": verdict.descriptor}
-        out.say(f"geq consistent up to {verdict.descriptor}")
-        return out.finish(_EXIT_OK)
-    if isinstance(verdict, Refuted):
-        out.result = {"verdict": "refuted"}
-        witness = render(verdict.witness)
-        out.witnesses = [{"game": witness}]
-        out.say(f"refuted by {witness}")
-        return out.finish(_EXIT_REFUTED)
-    out.result = {"verdict": "incomparable"}
-    geq_fail = render(verdict.witness_geq_fail)
-    leq_fail = render(verdict.witness_leq_fail)
-    out.witnesses = [
-        {"game": geq_fail, "direction": "geq"},
-        {"game": leq_fail, "direction": "leq"},
-    ]
-    out.say(f"incomparable [geq fails at {geq_fail}, leq fails at {leq_fail}]")
-    return out.finish(_EXIT_REFUTED)
+    return _finish_verdict(out, geq_mod(g, h, tests))
 
 
 def _cmd_universe(ns: argparse.Namespace) -> int:

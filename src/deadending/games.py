@@ -374,13 +374,6 @@ def birthday(g: GameId) -> int:
     return 1 + max(heights) if heights else 0
 
 
-@_driven
-def max_branching(g: GameId) -> int:
-    """Largest per-side option count over all followers."""
-    left, right = _nodes[g]
-    return max([len(left), len(right)] + (yield from _all(left + right)))
-
-
 def sort_games(games: Iterable[GameId]) -> list[GameId]:
     """Deterministic order: ascending birthday, then tree shape, which compares
     sorted Left options, then sorted Right options, lexicographically in the

@@ -2,10 +2,12 @@
 monoid-quotient computations.
 
 A TestSet is a finite, reproducibly generated slice of a universe used as a
-pool of distinguishing contexts.  Verdicts from scans over a TestSet are
-three-valued by design: a bounded scan can refute equivalence or inequality
-outright, but can confirm it only up to the declared bounds, so every
-"consistent" verdict carries its descriptor.
+pool of distinguishing contexts.  Scans and closed forms both answer with a
+Verdict: a Relation, its basis, and its witnesses.  A bounded scan can refute
+equivalence or inequality outright, with a witness, but can confirm it only
+up to the declared bounds, so a verdict without witnesses holds up to the
+test set's descriptor, its basis.  A closed form's verdict is exact, and its
+basis is the universe it holds in.
 
 Every scan reads outcome rows from the test set's ContextTable, built on
 first use.  A game's row holds, for each context X of the table, whether
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .games import (
     ZERO,
@@ -440,40 +442,36 @@ def witness_contexts(max_rungs: int = 8, max_drop: int = 6) -> list[GameId]:
 # verdicts
 
 
-@dataclass(frozen=True)
-class Distinguished:
-    """A context X with different misere outcomes for the two compared games."""
+class Relation(Enum):
+    """How g relates to h: the bounded scans' verdicts, then the closed forms'."""
 
-    witness: GameId
-    first_outcome: Outcome
-    second_outcome: Outcome
-
-
-@dataclass(frozen=True)
-class IndistinguishableUpTo:
-    descriptor: str
-
-
-Verdict = Union[Distinguished, IndistinguishableUpTo]
+    INDISTINGUISHABLE = "indistinguishable"
+    DISTINGUISHED = "distinguished"
+    GEQ_CONSISTENT = "geq-consistent"
+    REFUTED = "refuted"
+    EQUIVALENT = "equivalent"
+    GREATER = "greater"
+    LESS = "less"
+    INCOMPARABLE = "incomparable"
 
 
 @dataclass(frozen=True)
-class GeqConsistentUpTo:
-    descriptor: str
+class Verdict:
+    """A relation between two games, with what it rests on.
 
+    `basis` is the descriptor of the scanned test set, or, for an exact
+    verdict, the universe the closed form holds in.  A bounded verdict with no
+    witnesses holds only up to its basis; otherwise its witnesses are contexts
+    that refute (one for distinguished or refuted, the failing geq then leq
+    context for incomparable).  `outcomes` are g's and h's misere outcomes at
+    a distinguishing witness.
+    """
 
-@dataclass(frozen=True)
-class Refuted:
-    witness: GameId
-
-
-@dataclass(frozen=True)
-class IncomparableWitnessed:
-    witness_geq_fail: GameId
-    witness_leq_fail: GameId
-
-
-OrderVerdict = Union[GeqConsistentUpTo, Refuted, IncomparableWitnessed]
+    relation: Relation
+    basis: str
+    witnesses: tuple[GameId, ...] = ()
+    outcomes: tuple[Outcome, ...] = ()
+    exact: bool = False
 
 
 def equiv_mod(g: GameId, h: GameId, tests: TestSet) -> Verdict:
@@ -481,19 +479,25 @@ def equiv_mod(g: GameId, h: GameId, tests: TestSet) -> Verdict:
     table = tests.table
     i = table.first(g, h, _differ)
     if i is None:
-        return IndistinguishableUpTo(tests.descriptor)
-    return Distinguished(tests.members[i], table.outcome(g, i), table.outcome(h, i))
+        return Verdict(Relation.INDISTINGUISHABLE, tests.descriptor)
+    return Verdict(
+        Relation.DISTINGUISHED,
+        tests.descriptor,
+        (tests.members[i],),
+        (table.outcome(g, i), table.outcome(h, i)),
+    )
 
 
-def geq_mod(g: GameId, h: GameId, tests: TestSet) -> OrderVerdict:
+def geq_mod(g: GameId, h: GameId, tests: TestSet) -> Verdict:
     """Check o-(g+X) >= o-(h+X) over the test set, also noting the converse."""
     geq_fail = tests.table.first(g, h, _fails_geq)
     if geq_fail is None:
-        return GeqConsistentUpTo(tests.descriptor)
+        return Verdict(Relation.GEQ_CONSISTENT, tests.descriptor)
     leq_fail = tests.table.first(h, g, _fails_geq)
     if leq_fail is None:
-        return Refuted(tests.members[geq_fail])
-    return IncomparableWitnessed(tests.members[geq_fail], tests.members[leq_fail])
+        return Verdict(Relation.REFUTED, tests.descriptor, (tests.members[geq_fail],))
+    witnesses = (tests.members[geq_fail], tests.members[leq_fail])
+    return Verdict(Relation.INCOMPARABLE, tests.descriptor, witnesses)
 
 
 def invert_check(g: GameId, tests: TestSet) -> Verdict:
@@ -505,14 +509,7 @@ def invert_check(g: GameId, tests: TestSet) -> Verdict:
 # closed-form comparisons
 
 
-class Comparison(Enum):
-    EQUIVALENT = "equivalent"
-    GREATER = "greater"
-    LESS = "less"
-    INCOMPARABLE = "incomparable"
-
-
-def compare_numbers_mod_E(a: NumberLiteral, b: NumberLiteral) -> Comparison:
+def compare_numbers_mod_E(a: NumberLiteral, b: NumberLiteral) -> Verdict:
     """Order of two canonical numbers in the dead-ending universe.
 
     Same-sign numbers compare by value plus a length condition: a exceeds b
@@ -520,26 +517,32 @@ def compare_numbers_mod_E(a: NumberLiteral, b: NumberLiteral) -> Comparison:
     with right-lengths for negatives).  Pairs of opposite sign, and distinct
     pairs involving zero, are incomparable.
     """
+    return Verdict(_number_relation(a, b), "dead-ending", exact=True)
+
+
+def _number_relation(a: NumberLiteral, b: NumberLiteral) -> Relation:
     if a.value == b.value:
-        return Comparison.EQUIVALENT
+        return Relation.EQUIVALENT
     if a.value < 0 and b.value < 0:
-        return compare_numbers_mod_E(b.conjugated(), a.conjugated())
+        return _number_relation(b.conjugated(), a.conjugated())
     if a.value <= 0 or b.value <= 0:
-        return Comparison.INCOMPARABLE
+        return Relation.INCOMPARABLE
     la, lb = a.left_length(), b.left_length()
     assert la is not None and lb is not None
     if a.value > b.value and la <= lb:
-        return Comparison.GREATER
+        return Relation.GREATER
     if b.value > a.value and lb <= la:
-        return Comparison.LESS
-    return Comparison.INCOMPARABLE
+        return Relation.LESS
+    return Relation.INCOMPARABLE
 
 
-def compare_integers_mod_dead_end_closure(n: int, m: int) -> Comparison:
+def compare_integers_mod_dead_end_closure(n: int, m: int) -> Verdict:
     """Total order of integers modulo the closure of dead ends: n exceeds m iff n < m."""
     if n == m:
-        return Comparison.EQUIVALENT
-    return Comparison.GREATER if n < m else Comparison.LESS
+        relation = Relation.EQUIVALENT
+    else:
+        relation = Relation.GREATER if n < m else Relation.LESS
+    return Verdict(relation, "dead-end closure", exact=True)
 
 
 def reduce_end_to_integer(g: GameId) -> NumberLiteral:
@@ -582,12 +585,6 @@ class MonoidReport:
     order: dict[tuple[int, int], str]
     consistent: bool
     notes: list[str]
-
-    def class_for(self, label: int) -> Optional[MonoidClass]:
-        for cls in self.classes:
-            if cls.label == label:
-                return cls
-        return None
 
     def to_dict(self) -> dict:
         from .notation import render
@@ -711,8 +708,7 @@ def quotient_monoid(
             pairs[(la, lb)] = combined, reference
     table.solve(itertools.chain.from_iterable(pairs.values()))
     product_verified = {
-        key: isinstance(equiv_mod(g, h, tests), IndistinguishableUpTo)
-        for key, (g, h) in pairs.items()
+        key: not equiv_mod(g, h, tests).witnesses for key, (g, h) in pairs.items()
     }
 
     zero_class = next((cls for cls in classes if ZERO in cls.members), None)
@@ -729,7 +725,7 @@ def quotient_monoid(
             if la > lb or la + lb != identity_label:
                 continue
             combined = add(by_label[la].representative, by_label[lb].representative)
-            if isinstance(equiv_mod(combined, ZERO, tests), IndistinguishableUpTo):
+            if not equiv_mod(combined, ZERO, tests).witnesses:
                 inverse_pairs.append((la, lb))
 
     order: dict[tuple[int, int], str] = {}
@@ -740,12 +736,7 @@ def quotient_monoid(
             verdict = geq_mod(
                 by_label[la].representative, by_label[lb].representative, tests
             )
-            if isinstance(verdict, GeqConsistentUpTo):
-                order[(la, lb)] = "geq-consistent"
-            elif isinstance(verdict, Refuted):
-                order[(la, lb)] = "refuted"
-            else:
-                order[(la, lb)] = "incomparable"
+            order[(la, lb)] = verdict.relation.value
 
     return MonoidReport(
         descriptor=tests.descriptor,

@@ -30,11 +30,11 @@ from deadending import (
     star,
 )
 from deadending.claims import Bounds, claim_ids, run_all, run_claim
-from deadending.games import max_branching
 from deadending.notation import parse_game, render
 from deadending.universes import gen_dead_ending, gen_dead_ends
 
 from test_cli import GOLDEN, GOLDEN_CASES, run_cli, scrub
+from test_games import recursive_max_branching
 
 
 def finish(number, started, limit, summary):
@@ -160,7 +160,7 @@ def test_criterion_07_zero_like_games():
     assert star_report.status == "pass" and star_report.witnesses
     witness = parse_game(star_report.witnesses[0]["game"])
     assert is_dead_ending(witness)
-    assert birthday(witness) <= 3 and max_branching(witness) <= 2
+    assert birthday(witness) <= 3 and recursive_max_branching(witness) <= 2
     doubled_star = add(star(), star())
     assert outcome_misere(add(doubled_star, witness)) != outcome_misere(witness)
 

@@ -123,8 +123,7 @@ def test_each_claim_passes_at_small_bounds(claim):
 
 def test_reports_round_trip():
     report = run_claim("lemma:dead-end-outcome", SMALL)
-    again = ClaimReport.from_dict(report.to_dict())
-    assert again == report
+    assert ClaimReport(**report.to_dict()) == report
 
 
 def test_reports_deterministic_modulo_duration():

@@ -24,7 +24,16 @@ PERFBENCH = pathlib.Path(__file__).parents[1] / "perfbench"
 GOLDEN_CASES = {
     "outcome_left_end.json": ["outcome", "{.|1}", "--json"],
     "equiv_half_vs_one.json": ["equiv", "1/2", "1", "--tests", "dead-ending:b2:k2", "--json"],
+    "equiv_indistinguishable.json": ["equiv", "{-1|1}", "0", "--tests", "dead-ending:b2:k2",
+                                     "--json"],
     "compare_closed_form.json": ["compare", "1/2", "3/4", "--closed-form", "--json"],
+    "compare_closed_form_integers.json": ["compare", "2", "1", "--closed-form", "integers",
+                                          "--json"],
+    "compare_geq_consistent.json": ["compare", "1", "1/2", "--tests", "dead-ending:b2:k2",
+                                    "--json"],
+    "compare_refuted.json": ["compare", "1", "0", "--tests", "dead-end-closure:b3:k2:t2",
+                             "--json"],
+    "compare_incomparable.json": ["compare", "0", "1", "--tests", "dead-ending:b2:k2", "--json"],
     "universe_day1.json": ["universe", "dead-ending:b1:k2", "--list", "--json"],
     "verify_star_squared.json": ["verify", "fact:star-squared", "--json"],
     "monoid_small.json": ["monoid", "--generators", "ints:-1..1", "--terms", "2",
@@ -91,6 +100,21 @@ def test_compare_tests_based():
     assert code == 0 and "geq consistent" in out
     code, _, err = run_cli(["compare", "1", "1/2"])
     assert code == 2 and "compare needs" in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["compare", "1/2", "1", "--closed-form", "integers"], "g = '1/2'"),
+        (["compare", "1", "1/2", "--closed-form", "integers"], "h = '1/2'"),
+        (["compare", "*", "1", "--closed-form"], "g = '*'"),
+        (["compare", "1", "*", "--closed-form"], "h = '*'"),
+    ],
+)
+def test_closed_form_names_the_argument_out_of_its_domain(argv, named):
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert named in err and "line" not in err
 
 
 def test_universe_count_and_budget():

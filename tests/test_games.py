@@ -731,7 +731,6 @@ def assert_walks_match_recursive(g):
     assert conjugate(g) == recursive_conjugate(g), g
     assert followers(g) == recursive_followers(g), g
     assert birthday(g) == recursive_birthday(g), g
-    assert games.max_branching(g) == recursive_max_branching(g), g
     assert sort_games(followers(g)) == shape_sorted(followers(g)), g
     assert is_dicot(g) == recursive_is_dicot(g), g
     assert as_number(g) == recursive_as_number(g), g
@@ -990,7 +989,6 @@ def test_deep_integers_answer_within_a_shallow_stack():
         assert shallow(as_integer, g) == n and shallow(render, g) == str(n)
         assert shallow(conjugate, g) == shallow(integer_game, -n)
         assert shallow(birthday, g) == DEEP
-        assert shallow(games.max_branching, g) == 1
         mirror = shallow(conjugate, g)
         negative, positive = (mirror, g) if n > 0 else (g, mirror)
         assert shallow(sort_games, [positive, ZERO, negative]) == [ZERO, negative, positive]

@@ -30,16 +30,12 @@ from deadending import (
 )
 from deadending import universes
 from deadending.claims import Bounds
-from deadending.games import followers, max_branching, sort_games, store_size
+from deadending.games import followers, sort_games, store_size
 from deadending.universes import (
     BudgetExceededError,
-    Comparison,
     ContextTable,
-    Distinguished,
-    GeqConsistentUpTo,
-    IncomparableWitnessed,
-    IndistinguishableUpTo,
-    Refuted,
+    Relation,
+    Verdict,
     compare_integers_mod_dead_end_closure,
     compare_numbers_mod_E,
     equiv_mod,
@@ -58,6 +54,7 @@ from deadending.universes import (
 
 from depth import shallow
 from strategies import build, shapes
+from test_games import recursive_max_branching
 
 
 def lit(value):
@@ -138,7 +135,7 @@ def test_gen_dead_ending_membership_predicate():
     for g in gen_dead_ending(2, 2):
         assert is_dead_ending(g)
         assert birthday(g) <= 2
-        assert max_branching(g) <= 2
+        assert recursive_max_branching(g) <= 2
 
 
 def test_gen_dead_ending_order_is_birthday_monotone():
@@ -349,24 +346,24 @@ def test_equiv_swap_game_is_zero_like():
     ts = gen_dead_ending(2, 2)
     swap = intern((integer_game(-1),), (integer_game(1),))
     verdict = equiv_mod(swap, ZERO, ts)
-    assert isinstance(verdict, IndistinguishableUpTo)
-    assert verdict.descriptor == "dead-ending:b2:k2"
+    assert verdict == Verdict(Relation.INDISTINGUISHABLE, "dead-ending:b2:k2")
 
 
 def test_equiv_doubled_half_vs_two():
     ts = gen_number_closure(3, 2, 3)
     doubled = add(dyadic_game(lit("1/2")), dyadic_game(lit("1/2")))
-    assert isinstance(equiv_mod(doubled, integer_game(2), ts), IndistinguishableUpTo)
+    assert equiv_mod(doubled, integer_game(2), ts).relation is Relation.INDISTINGUISHABLE
 
 
 def test_equiv_distinguishes_half_from_one():
     ts = gen_dead_ending(2, 2)
     verdict = equiv_mod(dyadic_game(lit("1/2")), integer_game(1), ts)
-    assert isinstance(verdict, Distinguished)
+    assert verdict.relation is Relation.DISTINGUISHED
     # soundness: replaying the witness reproduces the differing outcomes
-    g_out = outcome_misere(add(dyadic_game(lit("1/2")), verdict.witness))
-    h_out = outcome_misere(add(integer_game(1), verdict.witness))
-    assert (g_out, h_out) == (verdict.first_outcome, verdict.second_outcome)
+    (witness,) = verdict.witnesses
+    g_out = outcome_misere(add(dyadic_game(lit("1/2")), witness))
+    h_out = outcome_misere(add(integer_game(1), witness))
+    assert (g_out, h_out) == verdict.outcomes
     assert g_out != h_out
 
 
@@ -379,67 +376,63 @@ def test_equiv_monotone_refinement():
         (integer_game(1), integer_game(2)),
     ]
     for g, h in pairs:
-        if isinstance(equiv_mod(g, h, small), Distinguished):
-            assert isinstance(equiv_mod(g, h, large), Distinguished)
+        if equiv_mod(g, h, small).witnesses:
+            assert equiv_mod(g, h, large).witnesses
 
 
 def test_equiv_is_equivalence_on_samples():
     ts = gen_dead_ending(1, 2)
     sample = [ZERO, integer_game(1), add(integer_game(1), integer_game(-1)), star()]
     for g in sample:
-        assert isinstance(equiv_mod(g, g, ts), IndistinguishableUpTo)
+        assert equiv_mod(g, g, ts).relation is Relation.INDISTINGUISHABLE
     for g in sample:
         for h in sample:
-            forward = equiv_mod(g, h, ts)
-            backward = equiv_mod(h, g, ts)
-            assert isinstance(forward, Distinguished) == isinstance(
-                backward, Distinguished
-            )
+            assert equiv_mod(g, h, ts).relation is equiv_mod(h, g, ts).relation
     for g in sample:
         for h in sample:
             for k in sample:
-                if isinstance(equiv_mod(g, h, ts), IndistinguishableUpTo) and isinstance(
-                    equiv_mod(h, k, ts), IndistinguishableUpTo
-                ):
-                    assert isinstance(equiv_mod(g, k, ts), IndistinguishableUpTo)
+                if not equiv_mod(g, h, ts).witnesses and not equiv_mod(h, k, ts).witnesses:
+                    assert not equiv_mod(g, k, ts).witnesses
 
 
 def test_geq_reflexive():
     ts = gen_dead_ending(2, 2)
     g = dyadic_game(lit("3/4"))
-    assert isinstance(geq_mod(g, g, ts), GeqConsistentUpTo)
+    assert geq_mod(g, g, ts) == Verdict(Relation.GEQ_CONSISTENT, "dead-ending:b2:k2")
 
 
 def test_geq_integers_incomparable():
     ts = gen_dead_ending(2, 2)
     verdict = geq_mod(ZERO, integer_game(1), ts)
-    assert isinstance(verdict, IncomparableWitnessed)
-    g_out = outcome_misere(add(ZERO, verdict.witness_geq_fail))
-    h_out = outcome_misere(add(integer_game(1), verdict.witness_geq_fail))
-    from deadending import outcome_geq
-
+    assert verdict.relation is Relation.INCOMPARABLE
+    geq_fail, leq_fail = verdict.witnesses
+    g_out = outcome_misere(add(ZERO, geq_fail))
+    h_out = outcome_misere(add(integer_game(1), geq_fail))
     assert not outcome_geq(g_out, h_out)
+    g_out = outcome_misere(add(ZERO, leq_fail))
+    h_out = outcome_misere(add(integer_game(1), leq_fail))
+    assert not outcome_geq(h_out, g_out)
 
 
 def test_geq_one_exceeds_half():
     ts = gen_dead_ending(2, 2)
     verdict = geq_mod(integer_game(1), dyadic_game(lit("1/2")), ts)
-    assert isinstance(verdict, GeqConsistentUpTo)
+    assert verdict.relation is Relation.GEQ_CONSISTENT and not verdict.witnesses
 
 
 def test_geq_refuted_over_closure():
     ts = gen_dead_end_closure(3, 2, 2)
     verdict = geq_mod(integer_game(1), integer_game(0), ts)
-    assert isinstance(verdict, Refuted)
+    assert verdict.relation is Relation.REFUTED and len(verdict.witnesses) == 1
 
 
 def test_invert_checks():
     ts = gen_dead_ending(2, 2)
-    assert isinstance(invert_check(dyadic_game(lit("3/4")), ts), IndistinguishableUpTo)
-    assert isinstance(invert_check(star(), ts), Distinguished)
+    assert not invert_check(dyadic_game(lit("3/4")), ts).witnesses
+    assert invert_check(star(), ts).relation is Relation.DISTINGUISHED
     switch = intern((integer_game(1),), (integer_game(-1),))
     verdict = invert_check(switch, ts)
-    assert isinstance(verdict, Distinguished)
+    assert verdict.relation is Relation.DISTINGUISHED
     # the one-rung right end {1 | .} also witnesses the separation
     doubled = add(switch, conjugate(switch))
     x = integer_game(2)  # {1 | .}
@@ -456,8 +449,8 @@ def reference_equiv(g, h, tests):
     for x in tests.members:
         og, oh = outcome_misere_sum(g, x), outcome_misere_sum(h, x)
         if og != oh:
-            return Distinguished(x, og, oh)
-    return IndistinguishableUpTo(tests.descriptor)
+            return Verdict(Relation.DISTINGUISHED, tests.descriptor, (x,), (og, oh))
+    return Verdict(Relation.INDISTINGUISHABLE, tests.descriptor)
 
 
 def reference_geq(g, h, tests):
@@ -469,10 +462,10 @@ def reference_geq(g, h, tests):
         if leq_fail is None and not outcome_geq(oh, og):
             leq_fail = x
         if geq_fail is not None and leq_fail is not None:
-            return IncomparableWitnessed(geq_fail, leq_fail)
+            return Verdict(Relation.INCOMPARABLE, tests.descriptor, (geq_fail, leq_fail))
     if geq_fail is None:
-        return GeqConsistentUpTo(tests.descriptor)
-    return Refuted(geq_fail)
+        return Verdict(Relation.GEQ_CONSISTENT, tests.descriptor)
+    return Verdict(Relation.REFUTED, tests.descriptor, (geq_fail,))
 
 
 def row_pool():
@@ -608,7 +601,7 @@ def test_scans_match_linear_reference(tests):
             assert equiv_mod(g, h, tests) == expected, (g, h)
             assert geq_mod(g, h, tests) == reference_geq(g, h, tests), (g, h)
             same = tests.table.signature(g) == tests.table.signature(h)
-            assert same == isinstance(expected, IndistinguishableUpTo), (g, h)
+            assert same == (not expected.witnesses), (g, h)
 
 
 def reference_classes(generators, max_terms, tests):
@@ -622,7 +615,7 @@ def reference_classes(generators, max_terms, tests):
     classes = []
     for s in sort_games(sums):
         for cls in classes:
-            if isinstance(reference_equiv(s, cls[0], tests), IndistinguishableUpTo):
+            if not reference_equiv(s, cls[0], tests).witnesses:
                 cls.append(s)
                 break
         else:
@@ -660,38 +653,38 @@ def test_signature_partition_matches_class_loop(generators, tests):
 
 
 def test_compare_numbers_examples():
-    assert compare_numbers_mod_E(lit("1/2"), lit("3/4")) == Comparison.INCOMPARABLE
-    assert compare_numbers_mod_E(lit(1), lit("1/2")) == Comparison.GREATER
-    assert compare_numbers_mod_E(lit(2), lit(1)) == Comparison.INCOMPARABLE
-    assert compare_numbers_mod_E(lit("3/4"), lit("3/8")) == Comparison.GREATER
-    assert compare_numbers_mod_E(lit("3/8"), lit("3/4")) == Comparison.LESS
-    assert compare_numbers_mod_E(lit("1/2"), lit("1/2")) == Comparison.EQUIVALENT
-    assert compare_numbers_mod_E(lit("-1/2"), lit("-3/4")) == Comparison.INCOMPARABLE
-    assert compare_numbers_mod_E(lit("-3/4"), lit(-1)) == Comparison.GREATER
-    assert compare_numbers_mod_E(lit(-1), lit("-3/4")) == Comparison.LESS
-    assert compare_numbers_mod_E(lit("1/2"), lit("-1/2")) == Comparison.INCOMPARABLE
-    assert compare_numbers_mod_E(lit(0), lit("1/2")) == Comparison.INCOMPARABLE
+    assert compare_numbers_mod_E(lit("1/2"), lit("3/4")).relation is Relation.INCOMPARABLE
+    assert compare_numbers_mod_E(lit(1), lit("1/2")).relation is Relation.GREATER
+    assert compare_numbers_mod_E(lit(2), lit(1)).relation is Relation.INCOMPARABLE
+    assert compare_numbers_mod_E(lit("3/4"), lit("3/8")).relation is Relation.GREATER
+    assert compare_numbers_mod_E(lit("3/8"), lit("3/4")).relation is Relation.LESS
+    assert compare_numbers_mod_E(lit("1/2"), lit("1/2")).relation is Relation.EQUIVALENT
+    assert compare_numbers_mod_E(lit("-1/2"), lit("-3/4")).relation is Relation.INCOMPARABLE
+    assert compare_numbers_mod_E(lit("-3/4"), lit(-1)).relation is Relation.GREATER
+    assert compare_numbers_mod_E(lit(-1), lit("-3/4")).relation is Relation.LESS
+    assert compare_numbers_mod_E(lit("1/2"), lit("-1/2")).relation is Relation.INCOMPARABLE
+    assert compare_numbers_mod_E(lit(0), lit("1/2")).relation is Relation.INCOMPARABLE
 
 
 def mirrored_compare_numbers(a, b):
     """The hand-mirrored comparison that the conjugated negative branch replaced."""
     if a.value == b.value:
-        return Comparison.EQUIVALENT
+        return Relation.EQUIVALENT
     if a.value > 0 and b.value > 0:
         la, lb = a.left_length(), b.left_length()
         if a.value > b.value and la <= lb:
-            return Comparison.GREATER
+            return Relation.GREATER
         if b.value > a.value and lb <= la:
-            return Comparison.LESS
-        return Comparison.INCOMPARABLE
+            return Relation.LESS
+        return Relation.INCOMPARABLE
     if a.value < 0 and b.value < 0:
         ra, rb = a.right_length(), b.right_length()
         if a.value > b.value and rb <= ra:
-            return Comparison.GREATER
+            return Relation.GREATER
         if b.value > a.value and ra <= rb:
-            return Comparison.LESS
-        return Comparison.INCOMPARABLE
-    return Comparison.INCOMPARABLE
+            return Relation.LESS
+        return Relation.INCOMPARABLE
+    return Relation.INCOMPARABLE
 
 
 def test_compare_numbers_matches_mirrored_branches():
@@ -699,13 +692,16 @@ def test_compare_numbers_matches_mirrored_branches():
     assert len(literals) == 65
     for a in literals:
         for b in literals:
-            assert compare_numbers_mod_E(a, b) == mirrored_compare_numbers(a, b), (a, b)
+            expected = Verdict(mirrored_compare_numbers(a, b), "dead-ending", exact=True)
+            assert compare_numbers_mod_E(a, b) == expected, (a, b)
 
 
 def test_compare_integers_examples():
-    assert compare_integers_mod_dead_end_closure(-1, 0) == Comparison.GREATER
-    assert compare_integers_mod_dead_end_closure(1, 1) == Comparison.EQUIVALENT
-    assert compare_integers_mod_dead_end_closure(2, 1) == Comparison.LESS
+    assert compare_integers_mod_dead_end_closure(-1, 0).relation is Relation.GREATER
+    assert compare_integers_mod_dead_end_closure(1, 1).relation is Relation.EQUIVALENT
+    assert compare_integers_mod_dead_end_closure(2, 1) == Verdict(
+        Relation.LESS, "dead-end closure", exact=True
+    )
 
 
 def test_reduce_end_to_integer():
@@ -718,7 +714,7 @@ def test_reduce_end_to_integer():
     ts = gen_dead_end_closure(2, 2, 2)
     for end in gen_dead_ends(2, 2):
         target = dyadic_game(reduce_end_to_integer(end))
-        assert isinstance(equiv_mod(end, target, ts), IndistinguishableUpTo)
+        assert not equiv_mod(end, target, ts).witnesses
 
 
 # -- monoid ----------------------------------------------------------------------
@@ -748,7 +744,7 @@ def test_integer_monoid_structure():
     assert all(result == a + b for (a, b), result in report.product.items())
     assert len(report.product) == 81
     assert all(report.product_verified.values())
-    zero_class = report.class_for(0)
+    zero_class = next(c for c in report.classes if c.label == 0)
     assert ZERO in zero_class.members
     assert add(integer_game(1), integer_game(-1)) in zero_class.members
     outcomes = {c.label: c.outcome for c in report.classes}
@@ -779,16 +775,12 @@ def test_dyadic_monoid_isomorphic():
 def test_monoid_product_independent_of_representatives():
     report = integer_monoid_report()
     tests = gen_dead_end_closure(3, 2, 2)
-    cls = report.class_for(0)
+    cls = next(c for c in report.classes if c.label == 0)
     assert len(cls.members) >= 2
     for alternate in cls.members:
         for other in report.classes[:3]:
             combined = add(alternate, other.representative)
-            target = report.class_for(other.label)
-            assert isinstance(
-                equiv_mod(combined, target.representative, tests),
-                IndistinguishableUpTo,
-            )
+            assert not equiv_mod(combined, other.representative, tests).witnesses
 
 
 def test_monoid_report_serializes():
