@@ -1,11 +1,15 @@
 """Registry of executable bounded checks, one per governing statement of the algebra.
 
-Every checker is deterministic given its bounds and returns a structured
-report.  Statements quantified over an infinite universe are checked over
-declared test sets and labeled as bounded passes; statements with closed
-forms are checked exhaustively within bounds.  A refuted report means the
-implementation is wrong somewhere, never merely that the bounds are small:
-a search shortfall reports `skipped`, its reason naming the bound too small.
+Every checker is deterministic given its bounds and only records its cases
+in the `_Check` it is handed.  `run_claim` owns the report: it makes the
+check, runs the checker and turns the check into a `ClaimReport`; `run_all`
+reports a claim its wall-clock budget leaves no time for through a check of
+its own, holding that one shortfall.  Statements quantified over an infinite
+universe are checked over declared test sets and labeled as bounded passes;
+statements with closed forms are checked exhaustively within bounds.  A
+refuted report means the implementation is wrong somewhere, never merely
+that the bounds are small: a search shortfall reports `skipped`, its reason
+naming the bound too small.
 """
 
 from __future__ import annotations
@@ -243,26 +247,21 @@ def _verify_refutation(g: GameId, h: GameId, x: GameId) -> bool:
 # claim checkers
 
 
-def _claim_follower_closed(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_follower_closed(bounds: Bounds, check: _Check) -> None:
     for g in bounds.dead_ending_tests().members:
         for f in sort_games(followers(g)):
             ok = is_dead_ending(f)
             check.run(ok, f, "non-dead-ending follower", of=lambda: render(g))
-    return check
 
 
-def _claim_sum_closed(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_sum_closed(bounds: Bounds, check: _Check) -> None:
     members = bounds.dead_ending_tests().members
     for i, g in enumerate(members):
         for h in members[i:]:
             check.run(is_dead_ending(add(g, h)), add(g, h), "non-dead-ending sum")
-    return check
 
 
-def _claim_dead_end_outcome(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_dead_end_outcome(bounds: Bounds, check: _Check) -> None:
     for g in gen_dead_ends(bounds.birthday, bounds.options):
         if g == ZERO:
             check.run(outcome_misere(g) == Outcome.N, g, "zero end not N")
@@ -271,11 +270,9 @@ def _claim_dead_end_outcome(bounds: Bounds) -> _Check:
             check.run(outcome_misere(g) == Outcome.L, g, "dead left end not L")
         if is_dead_right_end(g):
             check.run(outcome_misere(g) == Outcome.R, g, "dead right end not R")
-    return check
 
 
-def _claim_end_sum_outcome(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_end_sum_outcome(bounds: Bounds, check: _Check) -> None:
     ends = gen_dead_ends(bounds.birthday, bounds.options)
     rights = [g for g in ends if is_dead_right_end(g)]
     lefts = [g for g in ends if is_dead_left_end(g)]
@@ -287,11 +284,9 @@ def _claim_end_sum_outcome(bounds: Bounds) -> _Check:
                 "solver disagrees with length rule",
             )
     check.details["pairs"] = len(rights) * len(lefts)
-    return check
 
 
-def _claim_ends_invertible(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_ends_invertible(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests()
     left_ends = [x for x in tests.members if is_left_end(x)]
     for g in gen_dead_ends(bounds.birthday, bounds.options):
@@ -311,11 +306,9 @@ def _claim_ends_invertible(bounds: Bounds) -> _Check:
                 around=lambda: render(g),
             )
     check.details["tests"] = tests.descriptor
-    return check
 
 
-def _claim_int_total_order(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_int_total_order(bounds: Bounds, check: _Check) -> None:
     tests = bounds.closure_tests()
     span = range(-bounds.birthday, bounds.birthday + 1)
     for n in span:
@@ -343,11 +336,9 @@ def _claim_int_total_order(bounds: Bounds) -> _Check:
                     pair=f"{n},{m}",
                 )
     check.details["tests"] = tests.descriptor
-    return check
 
 
-def _claim_int_incomparable(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_int_incomparable(bounds: Bounds, check: _Check) -> None:
     span = range(-bounds.birthday, bounds.birthday + 1)
     for n in span:
         for m in span:
@@ -379,11 +370,9 @@ def _claim_int_incomparable(bounds: Bounds) -> _Check:
                 witness = conjugate(lambda_game(-m))
             refuted = _verify_refutation(gm, gn, witness)
             run(refuted, witness, "ladder witness fails to refute n <= m")
-    return check
 
 
-def _claim_end_to_integer(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_end_to_integer(bounds: Bounds, check: _Check) -> None:
     tests = bounds.closure_tests()
     for g in gen_dead_ends(bounds.birthday, bounds.options):
         literal = reduce_end_to_integer(g)
@@ -395,10 +384,14 @@ def _claim_end_to_integer(bounds: Bounds) -> _Check:
             integer=str(literal),
         )
     check.details["tests"] = tests.descriptor
-    return check
 
 
-def _expect_integer_monoid(report, check: _Check, label_span: int, bound: str) -> None:
+def _expect_integer_monoid(
+    check: _Check, gens: list[GameId], tests: TestSet, label_span: int, bound: str
+) -> None:
+    """The quotient of sums of two generators over the tests is the integers
+    -label_span..label_span under addition, ordered in reverse."""
+    report = quotient_monoid(gens, 2, tests)
     expected = list(range(-label_span, label_span + 1))
     labels = sorted(cls.label for cls in report.classes)
     # unseparated sums alone fail the bookkeeping, label and inverse checks
@@ -433,33 +426,24 @@ def _expect_integer_monoid(report, check: _Check, label_span: int, bound: str) -
     for (a, b), relation in report.order.items():
         expected_rel = "geq-consistent" if a < b else "refuted"
         check.run(relation == expected_rel, ZERO, "order relation off", pair=f"{a},{b}")
+    check.details["tests"] = tests.descriptor
+    check.details["classes"] = len(report.classes)
 
 
-def _claim_int_monoid(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_int_monoid(bounds: Bounds, check: _Check) -> None:
     span = min(bounds.magnitude, 2)
     gens = [integer_game(n) for n in range(-span, span + 1)]
     tests = gen_dead_end_closure(bounds.birthday, bounds.options, 2)
-    report = quotient_monoid(gens, 2, tests)
-    _expect_integer_monoid(report, check, 2 * span, f"birthday={bounds.birthday}")
-    check.details["tests"] = tests.descriptor
-    check.details["classes"] = len(report.classes)
-    return check
+    _expect_integer_monoid(check, gens, tests, 2 * span, f"birthday={bounds.birthday}")
 
 
-def _claim_number_monoid(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_number_monoid(bounds: Bounds, check: _Check) -> None:
     gens = [dyadic_game(lit) for lit in number_literals(2, 1, include_zero=True)]
     tests = gen_number_closure(2, 1, 2)
-    report = quotient_monoid(gens, 2, tests)
-    _expect_integer_monoid(report, check, 4, "the fixed test set")
-    check.details["tests"] = tests.descriptor
-    check.details["classes"] = len(report.classes)
-    return check
+    _expect_integer_monoid(check, gens, tests, 4, "the fixed test set")
 
 
-def _claim_dyadic_options(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_dyadic_options(bounds: Bounds, check: _Check) -> None:
     tallies = {"1:rl": 0, "1:lr": 0, "3:rl": 0, "3:lr": 0}
     flips = 0
     for lit in number_literals(bounds.struct_exponent, bounds.magnitude):
@@ -493,11 +477,9 @@ def _claim_dyadic_options(bounds: Bounds) -> _Check:
             )
     check.details["branch_tallies"] = tallies
     check.details["half_integer_branch_flips"] = flips
-    return check
 
 
-def _claim_right_option_length(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_right_option_length(bounds: Bounds, check: _Check) -> None:
     for lit in number_literals(bounds.struct_exponent, bounds.magnitude):
         if lit.is_integer:
             continue
@@ -519,11 +501,9 @@ def _claim_right_option_length(bounds: Bounds) -> _Check:
             g,
             "literal lengths disagree with tree lengths",
         )
-    return check
 
 
-def _claim_number_sum_outcome(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_number_sum_outcome(bounds: Bounds, check: _Check) -> None:
     literals = number_literals(bounds.exponent, bounds.magnitude)
     games = {lit: dyadic_game(lit) for lit in literals}
     for size in range(bounds.terms + 1):
@@ -535,11 +515,9 @@ def _claim_number_sum_outcome(bounds: Bounds) -> _Check:
                 "solver disagrees with length rule",
                 terms=lambda: " + ".join(str(l) for l in combo) or "0",
             )
-    return check
 
 
-def _claim_number_collapses(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_number_collapses(bounds: Bounds, check: _Check) -> None:
     tests = bounds.number_tests()
     # each literal's game, then its length integer's: the order that fixes ids
     pairs = [
@@ -557,11 +535,9 @@ def _claim_number_collapses(bounds: Bounds) -> _Check:
             integer=lit.signed_length(),
         )
     check.details["tests"] = tests.descriptor
-    return check
 
 
-def _claim_number_plus_end(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_number_plus_end(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests()
     left_ends = [x for x in tests.members if is_left_end(x)]
     literals = number_literals(bounds.exponent, bounds.magnitude)
@@ -579,11 +555,9 @@ def _claim_number_plus_end(bounds: Bounds) -> _Check:
                     terms=lambda: " + ".join(str(l) for l in combo),
                 )
     check.details["left_ends"] = len(left_ends)
-    return check
 
 
-def _claim_numbers_invertible(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_numbers_invertible(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests()
     for lit in number_literals(bounds.exponent, bounds.magnitude):
         verdict = invert_check(dyadic_game(lit), tests)
@@ -594,11 +568,9 @@ def _claim_numbers_invertible(bounds: Bounds) -> _Check:
             literal=str(lit),
         )
     check.details["tests"] = tests.descriptor
-    return check
 
 
-def _claim_geq_implies_normal(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_geq_implies_normal(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests()
     pack = bounds.ladder_pack()
     rng = random.Random(bounds.seed)
@@ -633,11 +605,9 @@ def _claim_geq_implies_normal(bounds: Bounds) -> _Check:
             "coverage": round(found / len(sample), 3) if sample else 1.0,
         }
     )
-    return check
 
 
-def _claim_numbers_distinct(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_numbers_distinct(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests()
     pack = bounds.ladder_pack()
     literals = number_literals(bounds.exponent, bounds.magnitude)
@@ -656,11 +626,9 @@ def _claim_numbers_distinct(bounds: Bounds) -> _Check:
             check.run(ok, ga, "no distinguishing context found", pair=f"{a},{b}")
     check.details["routes"] = routes
     check.details["tests"] = tests.descriptor
-    return check
 
 
-def _claim_simplicity_length(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_simplicity_length(bounds: Bounds, check: _Check) -> None:
     literals = [
         lit
         for lit in number_literals(bounds.struct_exponent, bounds.magnitude)
@@ -682,11 +650,9 @@ def _claim_simplicity_length(bounds: Bounds) -> _Check:
                     "option length not below inner number length",
                     pair=lambda: f"{a},{b}",
                 )
-    return check
 
 
-def _claim_number_order(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_number_order(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests()
     pack = bounds.ladder_pack()
     literals = number_literals(bounds.exponent, bounds.magnitude)
@@ -732,11 +698,9 @@ def _claim_number_order(bounds: Bounds) -> _Check:
             "routes": routes,
         }
     )
-    return check
 
 
-def _claim_non_invertible_family(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_non_invertible_family(bounds: Bounds, check: _Check) -> None:
     values = range(0, bounds.birthday + 1)
     for size in range(1, bounds.options + 1):
         for naturals in itertools.combinations(values, size):
@@ -759,7 +723,6 @@ def _claim_non_invertible_family(bounds: Bounds) -> _Check:
                 "witness fails to distinguish doubled game from zero",
                 family=str(naturals),
             )
-    return check
 
 
 def _zero_family_hypothesis(g: GameId) -> bool:
@@ -770,8 +733,7 @@ def _zero_family_hypothesis(g: GameId) -> bool:
     )
 
 
-def _claim_zero_family(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_zero_family(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests()
     candidates = set(tests.members)
     ends = gen_dead_ends(bounds.birthday, bounds.options)
@@ -794,11 +756,9 @@ def _claim_zero_family(bounds: Bounds) -> _Check:
         )
     check.details["family_size"] = len(matched)
     check.details["tests"] = tests.descriptor
-    return check
 
 
-def _claim_star_squared(bounds: Bounds) -> _Check:
-    check = _Check()
+def _claim_star_squared(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests()
     verdict = invert_check(star(), tests)
     found = bool(verdict.witnesses)
@@ -814,10 +774,9 @@ def _claim_star_squared(bounds: Bounds) -> _Check:
             )
         )
     check.details["tests"] = tests.descriptor
-    return check
 
 
-_REGISTRY: dict[str, Callable[[Bounds], _Check]] = {
+_REGISTRY: dict[str, Callable[[Bounds, _Check], None]] = {
     "lemma:follower-closed": _claim_follower_closed,
     "lemma:sum-closed": _claim_sum_closed,
     "lemma:dead-end-outcome": _claim_dead_end_outcome,
@@ -855,7 +814,9 @@ def run_claim(claim: str, bounds: Optional[Bounds] = None) -> ClaimReport:
         raise ValueError(f"unknown claim id {claim!r}")
     bounds = bounds or Bounds()
     started = time.monotonic()
-    return checker(bounds).report(claim, bounds, started)
+    check = _Check()
+    checker(bounds, check)
+    return check.report(claim, bounds, started)
 
 
 def run_all(
@@ -867,17 +828,9 @@ def run_all(
     started = time.monotonic()
     for claim in _REGISTRY:
         if budget_seconds is not None and time.monotonic() - started >= budget_seconds:
-            reports.append(
-                ClaimReport(
-                    claim=claim,
-                    status="skipped",
-                    bounds=bounds.to_dict(),
-                    cases=0,
-                    witnesses=[],
-                    duration_ms=0,
-                    details={"reason": "wall-clock budget exhausted"},
-                )
-            )
-            continue
-        reports.append(run_claim(claim, bounds))
+            check = _Check()
+            check.shortfalls.append("wall-clock budget exhausted")
+            reports.append(check.report(claim, bounds, time.monotonic()))
+        else:
+            reports.append(run_claim(claim, bounds))
     return reports

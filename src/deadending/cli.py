@@ -9,6 +9,12 @@ exceeded or a verify bound was too small for a search to settle a claim (a
 error (any other exception, reported on one line).  All diagnostics go to
 stderr; --json emits a stable envelope {command, inputs, result, witnesses,
 bounds, duration_ms}.
+
+`main` owns the envelope.  Each subcommand names its inputs next to its
+arguments; `main` makes the `_Emitter` from them, the command fills it in and
+returns an exit code, and `main` finishes the emitter with that code.  A
+command that raises prints nothing to stdout: `main` maps the exception to
+its exit code and a one-line diagnostic.
 """
 
 from __future__ import annotations
@@ -118,28 +124,25 @@ def _outcome_text(game: GameId, normal: bool) -> str:
     return outcome_misere(game).value + "-"
 
 
-def _cmd_outcome(ns: argparse.Namespace) -> int:
-    out = _Emitter("outcome", {"expr": ns.expr, "normal": ns.normal}, ns.json)
+def _cmd_outcome(ns: argparse.Namespace, out: _Emitter) -> int:
     game = parse_game(ns.expr)
     text = _outcome_text(game, ns.normal)
     out.result = {"outcome": text, "game": render(game)}
     out.say(text)
-    return out.finish(_EXIT_OK)
+    return _EXIT_OK
 
 
-def _cmd_lengths(ns: argparse.Namespace) -> int:
-    out = _Emitter("lengths", {"expr": ns.expr}, ns.json)
+def _cmd_lengths(ns: argparse.Namespace, out: _Emitter) -> int:
     game = parse_game(ns.expr)
     left = left_length(game)
     right = right_length(game)
     out.result = {"left": left, "right": right, "game": render(game)}
     fmt = lambda v: "undefined" if v is None else str(v)
     out.say(f"left={fmt(left)} right={fmt(right)}")
-    return out.finish(_EXIT_OK)
+    return _EXIT_OK
 
 
-def _cmd_classify(ns: argparse.Namespace) -> int:
-    out = _Emitter("classify", {"expr": ns.expr}, ns.json)
+def _cmd_classify(ns: argparse.Namespace, out: _Emitter) -> int:
     game = parse_game(ns.expr)
     flags = {
         "birthday": birthday(game),
@@ -158,7 +161,7 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
         f"dead-right-end={yn(flags['dead_right_end'])} "
         f"dead-ending={yn(flags['dead_ending'])} dicot={yn(flags['dicot'])}"
     )
-    return out.finish(_EXIT_OK)
+    return _EXIT_OK
 
 
 def _finish_verdict(out: _Emitter, verdict: Verdict) -> int:
@@ -184,13 +187,10 @@ def _finish_verdict(out: _Emitter, verdict: Verdict) -> int:
             out.witnesses[0]["direction"], out.witnesses[1]["direction"] = "geq", "leq"
             out.say(f"incomparable [geq fails at {shown[0]}, leq fails at {shown[1]}]")
     refutes = bool(shown) or verdict.relation is Relation.INCOMPARABLE
-    return out.finish(_EXIT_REFUTED if refutes else _EXIT_OK)
+    return _EXIT_REFUTED if refutes else _EXIT_OK
 
 
-def _cmd_equiv(ns: argparse.Namespace) -> int:
-    out = _Emitter(
-        "equiv", {"g": ns.g, "h": ns.h, "tests": ns.tests}, ns.json
-    )
+def _cmd_equiv(ns: argparse.Namespace, out: _Emitter) -> int:
     g = parse_game(ns.g)
     h = parse_game(ns.h)
     tests = generate(ns.tests)
@@ -214,22 +214,11 @@ def _closed_form(ns: argparse.Namespace) -> Verdict:
     return compare(a, b)
 
 
-def _cmd_compare(ns: argparse.Namespace) -> int:
-    out = _Emitter(
-        "compare",
-        {
-            "g": ns.g,
-            "h": ns.h,
-            "tests": ns.tests,
-            "closed_form": ns.closed_form,
-        },
-        ns.json,
-    )
+def _cmd_compare(ns: argparse.Namespace, out: _Emitter) -> int:
     if ns.closed_form is not None:
         return _finish_verdict(out, _closed_form(ns))
     if ns.tests is None:
-        print("compare needs --tests DESC or --closed-form", file=sys.stderr)
-        return _EXIT_USAGE
+        raise ValueError("compare needs --tests DESC or --closed-form")
     g = parse_game(ns.g)
     h = parse_game(ns.h)
     tests = generate(ns.tests)
@@ -237,10 +226,7 @@ def _cmd_compare(ns: argparse.Namespace) -> int:
     return _finish_verdict(out, geq_mod(g, h, tests))
 
 
-def _cmd_universe(ns: argparse.Namespace) -> int:
-    out = _Emitter(
-        "universe", {"descriptor": ns.descriptor, "list": ns.list}, ns.json
-    )
+def _cmd_universe(ns: argparse.Namespace, out: _Emitter) -> int:
     tests = generate(ns.descriptor)
     out.bounds = {"tests": tests.descriptor}
     out.result = {"descriptor": tests.descriptor, "count": len(tests)}
@@ -250,7 +236,7 @@ def _cmd_universe(ns: argparse.Namespace) -> int:
             out.say(text)
     else:
         out.say(f"{tests.descriptor}: {len(tests)} members")
-    return out.finish(_EXIT_OK)
+    return _EXIT_OK
 
 
 def _parse_generators(spec: str) -> list[GameId]:
@@ -270,12 +256,7 @@ def _parse_generators(spec: str) -> list[GameId]:
     return [parse_game(text) for text in spec.split(";") if text.strip()]
 
 
-def _cmd_monoid(ns: argparse.Namespace) -> int:
-    out = _Emitter(
-        "monoid",
-        {"generators": ns.generators, "terms": ns.terms, "tests": ns.tests},
-        ns.json,
-    )
+def _cmd_monoid(ns: argparse.Namespace, out: _Emitter) -> int:
     generators = _parse_generators(ns.generators)
     tests = generate(ns.tests)
     report = quotient_monoid(generators, ns.terms, tests)
@@ -290,15 +271,10 @@ def _cmd_monoid(ns: argparse.Namespace) -> int:
     out.say(f"identity label: {report.identity_label}")
     out.say(f"inverse pairs: {report.inverse_pairs}")
     out.say("product: label addition" if report.consistent else "INCONSISTENT")
-    return out.finish(_EXIT_OK if report.consistent else _EXIT_REFUTED)
+    return _EXIT_OK if report.consistent else _EXIT_REFUTED
 
 
-def _cmd_verify(ns: argparse.Namespace) -> int:
-    out = _Emitter(
-        "verify",
-        {"claim": ns.claim, "budget": ns.budget},
-        ns.json,
-    )
+def _cmd_verify(ns: argparse.Namespace, out: _Emitter) -> int:
     bounds = _bounds_from(ns)
     out.bounds = bounds.to_dict()
     if ns.claim == "all":
@@ -313,10 +289,10 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     refuted = sum(r.status == "refuted" for r in reports)
     out.say(f"{passed} pass, {refuted} refuted, {skipped} skipped")
     if skipped:
-        return out.finish(_EXIT_BUDGET)
+        return _EXIT_BUDGET
     if refuted:
-        return out.finish(_EXIT_REFUTED)
-    return out.finish(_EXIT_OK)
+        return _EXIT_REFUTED
+    return _EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -340,21 +316,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_json(sub.add_parser("outcome", help="misere (default) or normal outcome"))
     p.add_argument("expr")
     p.add_argument("--normal", action="store_true")
-    p.set_defaults(func=_cmd_outcome)
+    p.set_defaults(func=_cmd_outcome, inputs=("expr", "normal"))
 
     p = with_json(sub.add_parser("lengths", help="left/right lengths or undefined"))
     p.add_argument("expr")
-    p.set_defaults(func=_cmd_lengths)
+    p.set_defaults(func=_cmd_lengths, inputs=("expr",))
 
     p = with_json(sub.add_parser("classify", help="end and universe membership flags"))
     p.add_argument("expr")
-    p.set_defaults(func=_cmd_classify)
+    p.set_defaults(func=_cmd_classify, inputs=("expr",))
 
     p = with_json(sub.add_parser("equiv", help="indistinguishability over a test set"))
     p.add_argument("g")
     p.add_argument("h")
     p.add_argument("--tests", required=True, metavar="DESC")
-    p.set_defaults(func=_cmd_equiv)
+    p.set_defaults(func=_cmd_equiv, inputs=("g", "h", "tests"))
 
     p = with_json(sub.add_parser("compare", help="order over a test set or closed form"))
     p.add_argument("g")
@@ -368,14 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the closed-form order (numbers: dead-ending universe; "
         "integers: dead-end closure)",
     )
-    p.set_defaults(func=_cmd_compare)
+    p.set_defaults(func=_cmd_compare, inputs=("g", "h", "tests", "closed_form"))
 
     p = with_json(sub.add_parser("universe", help="generate a test set"))
     p.add_argument("descriptor")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--count", action="store_true", help="print the size (default)")
     group.add_argument("--list", action="store_true", help="print every member")
-    p.set_defaults(func=_cmd_universe)
+    p.set_defaults(func=_cmd_universe, inputs=("descriptor", "list"))
 
     p = with_json(sub.add_parser("monoid", help="quotient of generator sums"))
     p.add_argument(
@@ -385,14 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--terms", type=int, required=True)
     p.add_argument("--tests", required=True, metavar="DESC")
-    p.set_defaults(func=_cmd_monoid)
+    p.set_defaults(func=_cmd_monoid, inputs=("generators", "terms", "tests"))
 
     p = with_json(sub.add_parser("verify", help="run claim checks"))
     p.add_argument("claim", help="a claim id or 'all'")
     for flag, (name, text) in _BOUND_FLAGS.items():
         p.add_argument(f"--{flag}", type=int, default=getattr(Bounds, name), help=text)
     p.add_argument("--budget", type=float, default=None, help="wall-clock seconds")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, inputs=("claim", "budget"))
 
     return parser
 
@@ -409,8 +385,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    out = _Emitter(ns.command, {k: getattr(ns, k) for k in ns.inputs}, ns.json)
     try:
-        return ns.func(ns)
+        return out.finish(ns.func(ns, out))
     except BudgetExceededError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
         return _EXIT_BUDGET

@@ -292,6 +292,8 @@ def gen_dead_ending(
     descriptor = f"dead-ending:b{birthday_cap}:k{option_cap}"
     if cap is not None:
         descriptor += f":cap{cap}"
+        if cap > DEFAULT_MEMBER_BUDGET:
+            raise BudgetExceededError(descriptor, cap, DEFAULT_MEMBER_BUDGET)
     limit = cap if cap is not None else DEFAULT_MEMBER_BUDGET
     members: list[GameId] = [ZERO]
     seen = {ZERO}
@@ -328,12 +330,18 @@ def gen_dead_ends(birthday_cap: int, option_cap: int) -> list[GameId]:
 
     The dead left ends are the conjugates of the dead right ends.  Each day's
     are conjugated as soon as its right ends are built, so that new games are
-    interned in birthday order.
+    interned in birthday order.  Each day is refused before it is built when
+    its projected size, every option subset of the pool taken as a new right
+    end and its conjugate, exceeds the member budget.
     """
     rights: list[GameId] = [ZERO]
     ends = {ZERO}
     for _day in range(birthday_cap):
         pool = sort_games(rights)
+        projected = len(ends) + 2 * _subset_count(len(pool), option_cap)
+        if projected > DEFAULT_MEMBER_BUDGET:
+            descriptor = f"dead-ends:b{birthday_cap}:k{option_cap}"
+            raise BudgetExceededError(descriptor, projected, DEFAULT_MEMBER_BUDGET)
         for size in range(1, option_cap + 1):
             for sub in itertools.combinations(pool, size):
                 g = intern(sub, ())
@@ -708,7 +716,7 @@ def quotient_monoid(
             pairs[(la, lb)] = combined, reference
     table.solve(itertools.chain.from_iterable(pairs.values()))
     product_verified = {
-        key: not equiv_mod(g, h, tests).witnesses for key, (g, h) in pairs.items()
+        key: table.signature(g) == table.signature(h) for key, (g, h) in pairs.items()
     }
 
     zero_class = next((cls for cls in classes if ZERO in cls.members), None)
@@ -719,14 +727,12 @@ def quotient_monoid(
     else:
         identity_label = zero_class.label
 
-    inverse_pairs = []
-    for la in label_list:
-        for lb in label_list:
-            if la > lb or la + lb != identity_label:
-                continue
-            combined = add(by_label[la].representative, by_label[lb].representative)
-            if not equiv_mod(combined, ZERO, tests).witnesses:
-                inverse_pairs.append((la, lb))
+    zero = table.signature(ZERO)
+    inverse_pairs = [
+        (la, lb)
+        for (la, lb), (combined, _) in pairs.items()
+        if la <= lb and la + lb == identity_label and table.signature(combined) == zero
+    ]
 
     order: dict[tuple[int, int], str] = {}
     for la in label_list:

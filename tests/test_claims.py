@@ -51,6 +51,14 @@ def test_registry_has_the_full_claim_set():
     assert "fact:star-squared" in ids
 
 
+def test_every_claim_checker_is_registered():
+    checkers = {
+        value for name, value in vars(claims).items()
+        if name.startswith("_claim_") and callable(value)
+    }
+    assert checkers == set(claims._REGISTRY.values())
+
+
 def test_composite_witness_is_conjugate_plus_context():
     # -2 >= 3/8 has no refuting context among the scan and ladder pools; the
     # composite route must return conj(3/8) + Y for the first Y that the

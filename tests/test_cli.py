@@ -36,6 +36,9 @@ GOLDEN_CASES = {
     "compare_incomparable.json": ["compare", "0", "1", "--tests", "dead-ending:b2:k2", "--json"],
     "universe_day1.json": ["universe", "dead-ending:b1:k2", "--list", "--json"],
     "verify_star_squared.json": ["verify", "fact:star-squared", "--json"],
+    "verify_all_small.json": ["verify", "all", "--b", "2", "--t", "2", "--j", "2", "--v", "1",
+                              "--json"],
+    "verify_all_budget_zero.json": ["verify", "all", "--budget", "0", "--json"],
     "monoid_small.json": ["monoid", "--generators", "ints:-1..1", "--terms", "2",
                           "--tests", "dead-end-closure:b2:k2:t2", "--json"],
 }
@@ -122,6 +125,8 @@ def test_universe_count_and_budget():
     assert code == 0 and "107 members" in out
     code, _, err = run_cli(["universe", "dead-ending:b3:k2"])
     assert code == 3 and "33385305" in err
+    code, _, err = run_cli(["universe", "dead-end-closure:b7:k2:t1"])
+    assert code == 3 and "dead-ends:b7:k2" in err
 
 
 def test_universe_number_closure_over_budget_exits_3():

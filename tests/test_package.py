@@ -1,12 +1,15 @@
 """The package surface: what `from deadending import *` binds, and the README
-quickstart, run as written."""
+quickstart and command lines, run as written."""
 
 import ast
 import contextlib
 import io
 import pathlib
+import re
+import shlex
 
 import deadending
+from deadending import cli
 
 README = pathlib.Path(__file__).parents[1] / "README.md"
 
@@ -43,3 +46,29 @@ def test_readme_quickstart_prints_what_its_comments_say():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue().splitlines() == expected
+
+
+def command_lines():
+    """The README's command-line block: (argv, comment) per `deadending` line."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        (shlex.split(line, comments=True)[1:], line.partition("#")[2].strip())
+        for line in block.splitlines()
+        if line.startswith("deadending ")
+    ]
+
+
+def test_readme_command_lines_exit_and_print_what_their_comments_say():
+    # a comment reads "TEXT", "TEXT, exit N" or "TEXT (remark)"; no comment
+    # means exit 0
+    lines = command_lines()
+    assert len(lines) == 12
+    for argv, comment in lines:
+        text, _, code = comment.partition(", exit ")
+        text = re.sub(r"\(.*\)", "", text).strip()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            exit_code = cli.main(argv)
+        assert exit_code == int(code or 0), (argv, err.getvalue())
+        assert text in out.getvalue(), argv

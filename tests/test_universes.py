@@ -194,6 +194,17 @@ def test_gen_dead_ending_capped_prefix():
     assert all(is_dead_ending(g) and birthday(g) <= 3 for g in sliced)
 
 
+@pytest.mark.parametrize("birthday_cap, option_cap", [(6, 2), (5, 3)])
+def test_gen_dead_ends_refuses_the_day_past_the_budget(birthday_cap, option_cap):
+    # day 6 of k=2 projects 5.2 M ends, day 5 of k=3 63.7 M; only the days
+    # before are built
+    before = store_size()
+    with pytest.raises(BudgetExceededError) as err:
+        gen_dead_ends(birthday_cap, option_cap)
+    assert err.value.needed > err.value.allowed
+    assert store_size() - before <= len(gen_dead_ends(birthday_cap - 1, option_cap))
+
+
 def test_gen_dead_ending_deterministic():
     a = gen_dead_ending(2, 2)
     b = gen_dead_ending(2, 2)
@@ -319,6 +330,7 @@ def test_generate_cache_stays_within_its_bound():
         ("numbers:j2:v1", ValueError),
         ("numbers:j10:v8:t3", BudgetExceededError),
         ("dead-ending:b3:k2", BudgetExceededError),
+        ("dead-ending:b3:k2:cap500001", BudgetExceededError),  # a cap past the budget
     ],
 )
 def test_generate_raises_on_every_call_and_keeps_nothing(descriptor, error):
@@ -638,8 +650,12 @@ def reference_classes(generators, max_terms, tests):
             lambda: [dyadic_game(l) for l in number_literals(2, 1, include_zero=True)],
             lambda: gen_number_closure(2, 1, 2),
         ),
+        (  # too few contexts: 10 of the 25 products fail and 0 + 0 is no inverse pair
+            lambda: [dyadic_game(l) for l in number_literals(2, 1, include_zero=True)],
+            lambda: gen_dead_ending(1, 2),
+        ),
     ],
-    ids=["golden", "integers", "dyadics"],
+    ids=["golden", "integers", "dyadics", "dyadics-coarse"],
 )
 def test_signature_partition_matches_class_loop(generators, tests):
     gens, ts = generators(), tests()
@@ -647,6 +663,19 @@ def test_signature_partition_matches_class_loop(generators, tests):
     expected = reference_classes(gens, 2, ts)
     assert [cls.members for cls in report.classes] == expected
     assert [cls.representative for cls in report.classes] == [c[0] for c in expected]
+    # products and inverses as the equivalence scans they replaced found them
+    by_label = {cls.label: cls.representative for cls in report.classes}
+    verified, inverses = {}, []
+    for la in sorted(by_label):
+        for lb in sorted(by_label):
+            combined = add(by_label[la], by_label[lb])
+            target = by_label[la + lb] if la + lb in by_label else integer_game(la + lb)
+            verified[(la, lb)] = not reference_equiv(combined, target, ts).witnesses
+            if la <= lb and la + lb == report.identity_label:
+                if not reference_equiv(combined, ZERO, ts).witnesses:
+                    inverses.append((la, lb))
+    assert report.product_verified == verified
+    assert report.inverse_pairs == inverses
 
 
 # -- closed forms ---------------------------------------------------------------
