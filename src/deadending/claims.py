@@ -2,9 +2,10 @@
 
 Every checker is deterministic given its bounds and only records its cases
 in the `_Check` it is handed.  `run_claim` owns the report: it makes the
-check, runs the checker and turns the check into a `ClaimReport`; `run_all`
-reports a claim its wall-clock budget leaves no time for through a check of
-its own, holding that one shortfall.  Statements quantified over an infinite
+check, runs the checker and turns the check into a `ClaimReport`, a test set
+refused by the member budget counting as a shortfall; `run_all` reports a
+claim its wall-clock budget leaves no time for through a check of its own,
+holding that one shortfall.  Statements quantified over an infinite
 universe are checked over declared test sets and labeled as bounded passes;
 statements with closed forms are checked exhaustively within bounds.  A
 refuted report means the implementation is wrong somewhere, never merely
@@ -58,6 +59,7 @@ from .outcomes import (
     outcome_misere_sum,
 )
 from .universes import (
+    BudgetExceededError,
     Relation,
     Row,
     TestSet,
@@ -815,7 +817,10 @@ def run_claim(claim: str, bounds: Optional[Bounds] = None) -> ClaimReport:
     bounds = bounds or Bounds()
     started = time.monotonic()
     check = _Check()
-    checker(bounds, check)
+    try:
+        checker(bounds, check)
+    except BudgetExceededError as err:  # a test set too large to build
+        check.shortfalls.append(str(err))
     return check.report(claim, bounds, started)
 
 

@@ -1,4 +1,4 @@
-"""Game notation: parsing, elaboration to interned games, and rendering.
+"""Game notation: a parser that builds interned games, and a renderer.
 
 Grammar (whitespace insignificant)::
 
@@ -11,20 +11,23 @@ Grammar (whitespace insignificant)::
     frac    := "-"? digits "/" digits      (denominator a power of two)
 
 "~" is conjugation and "." an empty option set (a bare empty side is also
-accepted).  Rendering produces the same notation, preferring the literal
-names of integers, non-integer numbers, ladders, and star over brace form.
+accepted).  Parsing and building are one walk: each grammar rule returns the
+game it denotes, built post-order and left to right, each "+" applied as
+soon as its term is built.  So a malformed input may intern the games of its
+well-formed prefix before `ParseError` is raised (`{1/2 + 1/2 |` builds
+`1/2 + 1/2` first); the store is append-only, and the error is the same.
+Rendering produces the same notation, preferring the literal names of
+integers, non-integer numbers, ladders, and star over brace form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .games import (
     ZERO,
     GameId,
-    NumberLiteral,
     _all,
     _walk,
     add,
@@ -47,46 +50,6 @@ class ParseError(ValueError):
         super().__init__(f"{message} at line {line}, column {column}")
         self.line = line
         self.column = column
-
-
-@dataclass(frozen=True)
-class IntLit:
-    n: int
-
-
-@dataclass(frozen=True)
-class FracLit:
-    numerator: int
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Star:
-    pass
-
-
-@dataclass(frozen=True)
-class Lambda:
-    k: int
-
-
-@dataclass(frozen=True)
-class Conj:
-    inner: "GameExpr"
-
-
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple["GameExpr", ...]
-
-
-@dataclass(frozen=True)
-class Braces:
-    left: tuple["GameExpr", ...]
-    right: tuple["GameExpr", ...]
-
-
-GameExpr = Union[IntLit, FracLit, Star, Lambda, Conj, Sum, Braces]
 
 
 @dataclass(frozen=True)
@@ -162,28 +125,29 @@ class _Parser:
         return token
 
     # The rules below are steps of the engine's walk (`games._walk`): a rule
-    # yields the generator of each rule it applies and is sent its result.
-    # `term` also reads atoms and braces: two steps a level of nesting.
+    # yields the generator of each rule it applies, is sent the game that
+    # rule built, and returns the game it denotes.  `term` also reads atoms
+    # and braces: two steps a level of nesting.
 
-    def parse(self) -> GameExpr:
-        expr = _walk(lambda rule: rule, self.expr())
+    def parse(self) -> GameId:
+        game = _walk(lambda rule: rule, self.expr())
         tail = self.peek()
         if tail.kind != "end":
             raise ParseError(f"trailing input {tail.text!r}", tail.line, tail.column)
-        return expr
+        return game
 
     def expr(self):
-        terms = [(yield self.term())]
+        total = yield self.term()
         while self.peek().kind == "+":
             self.take("+")
-            terms.append((yield self.term()))
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+            total = add(total, (yield self.term()))
+        return total
 
     def term(self):
         token = self.peek()
         if token.kind == "~":
             self.take("~")
-            return Conj((yield self.term()))
+            return conjugate((yield self.term()))
         if token.kind == "{":  # braces
             self.take("{")
             sides = []
@@ -196,12 +160,12 @@ class _Parser:
                     while self.peek().kind == ",":
                         self.take(",")
                         found.append((yield self.expr()))
-                sides.append(tuple(found))
+                sides.append(found)
                 self.take(closer)
-            return Braces(*sides)
+            return intern(*sides)
         if token.kind == "*":
             self.take("*")
-            return Star()
+            return star()
         if token.kind == "lambda":
             self.take("lambda")
             self.take("(")
@@ -210,7 +174,7 @@ class _Parser:
             k = int(nat.text)
             if k < 1:
                 raise ParseError("lambda index must be >= 1", nat.line, nat.column)
-            return Lambda(k)
+            return lambda_game(k)
         if token.kind == "(":
             self.take("(")
             inner = yield self.expr()
@@ -224,7 +188,7 @@ class _Parser:
             token.column,
         )
 
-    def number(self) -> GameExpr:
+    def number(self) -> GameId:
         negative = False
         if self.peek().kind == "-":
             self.take("-")
@@ -241,46 +205,13 @@ class _Parser:
                     denom_token.line,
                     denom_token.column,
                 )
-            literal = NumberLiteral.from_value(Fraction(numerator, denominator))
-            if literal.is_integer:
-                return IntLit(literal.numerator)
-            return FracLit(literal.numerator, literal.exponent)
-        return IntLit(numerator)
-
-
-def parse(text: str) -> GameExpr:
-    """Parse notation into an expression tree, or raise ParseError."""
-    return _Parser(text).parse()
-
-
-def elaborate(expr: GameExpr) -> GameId:
-    """Fold an expression tree through the game constructors."""
-    return _walk(_elaborate, expr)
-
-
-def _elaborate(expr: GameExpr):
-    if isinstance(expr, IntLit):
-        return dyadic_game(NumberLiteral(expr.n, 0))
-    if isinstance(expr, FracLit):
-        return dyadic_game(NumberLiteral(expr.numerator, expr.exponent))
-    if isinstance(expr, Star):
-        return star()
-    if isinstance(expr, Lambda):
-        return lambda_game(expr.k)
-    if isinstance(expr, Conj):
-        return conjugate((yield expr.inner))
-    if isinstance(expr, Sum):
-        total = ZERO
-        for term in expr.terms:  # each term added as soon as it is built
-            total = add(total, (yield term))
-        return total
-    if isinstance(expr, Braces):
-        return intern((yield from _all(expr.left)), (yield from _all(expr.right)))
-    raise TypeError(f"not a game expression: {expr!r}")
+            return dyadic_game(Fraction(numerator, denominator))
+        return dyadic_game(numerator)
 
 
 def parse_game(text: str) -> GameId:
-    return elaborate(parse(text))
+    """The interned game that notation denotes, or raise ParseError."""
+    return _Parser(text).parse()
 
 
 ELLIPSIS_MARK = "…"
@@ -290,8 +221,8 @@ def render(g: GameId, depth: int = 6) -> str:
     """Canonical notation for a game, eliding brace bodies past the depth cap.
 
     Named positions (numbers, ladders, star) print as their literal names at
-    any depth; round-tripping through parse is exact whenever nothing was
-    elided.  Like the recognizers it reads, rendering builds no game.
+    any depth; round-tripping through parse_game is exact whenever nothing
+    was elided.  Like the recognizers it reads, rendering builds no game.
     """
     return _walk(_render, (g, depth), {})
 

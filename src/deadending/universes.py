@@ -66,10 +66,10 @@ T = TypeVar("T")
 class BudgetExceededError(RuntimeError):
     """Raised when generating a test set would blow past its member budget."""
 
-    def __init__(self, descriptor: str, needed: int, allowed: int):
+    def __init__(self, descriptor: str, needed: int, allowed: int, hint: str = ""):
         super().__init__(
             f"test set {descriptor} needs {needed} members, which exceeds the "
-            f"budget of {allowed}; pass a cap to take a deterministic prefix"
+            f"budget of {allowed}{hint}"
         )
         self.descriptor = descriptor
         self.needed = needed
@@ -311,7 +311,10 @@ def gen_dead_ending(
                 + 1
             )
             if projected > DEFAULT_MEMBER_BUDGET:
-                raise BudgetExceededError(descriptor, projected, DEFAULT_MEMBER_BUDGET)
+                raise BudgetExceededError(
+                    descriptor, projected, DEFAULT_MEMBER_BUDGET,
+                    "; pass a cap to take a deterministic prefix",
+                )
         for candidate in _day_candidates(pool, option_cap):
             if candidate in seen:
                 continue

@@ -28,7 +28,11 @@ from deadending.claims import (
     run_all,
     run_claim,
 )
-from deadending.universes import gen_dead_ending
+from deadending.universes import (
+    DEFAULT_MEMBER_BUDGET,
+    BudgetExceededError,
+    gen_dead_ending,
+)
 
 # small enough to keep this module fast; the acceptance suite runs the
 # defaults
@@ -186,6 +190,35 @@ def test_a_failure_outranks_a_shortfall():
     assert skipped.details["reason"] == "terms=2 too small: first"
     check.run(False, ZERO, "a real failure")
     assert check.report("c", SMALL, 0.0).status == "refuted"
+
+
+def refused_after(record):
+    """A checker that records its cases, then meets a test set too large to build."""
+
+    def checker(bounds, check):
+        record(check)
+        raise BudgetExceededError("dead-ends:b9:k2", 10**9, DEFAULT_MEMBER_BUDGET)
+
+    return checker
+
+
+def test_a_refused_test_set_skips_its_claim_with_the_reason(monkeypatch):
+    checker = refused_after(lambda check: check.run(True, ZERO, "a passing case"))
+    monkeypatch.setitem(claims._REGISTRY, "fact:star-squared", checker)
+    report = run_claim("fact:star-squared", SMALL)
+    assert report.status == "skipped" and report.cases == 1
+    assert report.details["reason"] == (
+        "test set dead-ends:b9:k2 needs 1000000000 members, "
+        "which exceeds the budget of 500000"
+    )
+
+
+def test_failures_before_a_refusal_still_refute(monkeypatch):
+    checker = refused_after(lambda check: check.run(False, ZERO, "a real failure"))
+    monkeypatch.setitem(claims._REGISTRY, "fact:star-squared", checker)
+    report = run_claim("fact:star-squared", SMALL)
+    assert report.status == "refuted"
+    assert [w["role"] for w in report.witnesses] == ["a real failure"]
 
 
 def test_star_squared_records_a_witness():

@@ -135,6 +135,52 @@ def test_universe_number_closure_over_budget_exits_3():
     assert code == 3 and "8006001" in err
 
 
+REFUSED = "budget exceeded: test set {} needs {} members, which exceeds the budget of 500000"
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        # only an uncapped dead-ending universe can take a prefix instead
+        (
+            ["universe", "dead-ending:b3:k2"],
+            REFUSED.format("dead-ending:b3:k2", 33385305)
+            + "; pass a cap to take a deterministic prefix",
+        ),
+        (
+            ["universe", "dead-ending:b3:k2:cap500001"],
+            REFUSED.format("dead-ending:b3:k2:cap500001", 500001),
+        ),
+        (
+            ["universe", "dead-end-closure:b7:k2:t1"],
+            REFUSED.format("dead-ends:b7:k2", 5200677),
+        ),
+        (
+            ["universe", "numbers:j0:v2000:t2"],
+            REFUSED.format("numbers:j0:v2000:t2", 8006001),
+        ),
+        (
+            ["monoid", "--generators", "ints:-5..5", "--terms", "12", "--tests", "dead-ending:b1:k2"],
+            REFUSED.format("monoid generator sums", 1352078),
+        ),
+    ],
+)
+def test_budget_refusal_hints_a_cap_only_where_one_helps(argv, stderr):
+    code, out, err = run_cli(argv)
+    assert (code, out, err) == (3, "", stderr + "\n")
+
+
+def test_verify_skips_only_the_claims_whose_test_set_is_refused():
+    code, out, _ = run_cli(["verify", "all", "--b", "7", "--json"])
+    assert code == 3
+    reports = json.loads(out)["result"]["reports"]
+    skipped = [r for r in reports if r["status"] == "skipped"]
+    assert len(reports) == 23 and len(skipped) == 7
+    assert all(r["status"] == "pass" for r in reports if r not in skipped)
+    for report in skipped:
+        assert "dead-ends:b7:k2" in report["details"]["reason"], report["claim"]
+
+
 def test_parse_error_is_usage_error():
     code, _, err = run_cli(["outcome", "3/6"])
     assert code == 2 and "power of two" in err

@@ -1,4 +1,11 @@
-"""Notation grammar, elaboration, and render round-trips."""
+"""Notation grammar, the games it builds, and render round-trips."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,21 +31,7 @@ from deadending import (
 )
 from deadending import notation
 from deadending.claims import Bounds
-from deadending.notation import (
-    Braces,
-    Conj,
-    FracLit,
-    IntLit,
-    Lambda,
-    ParseError,
-    Star,
-    Sum,
-    _Parser,
-    elaborate,
-    parse,
-    parse_game,
-    render,
-)
+from deadending.notation import ParseError, _Parser, parse_game, render
 from deadending.universes import gen_dead_ending
 
 from depth import shallow
@@ -58,50 +51,43 @@ def test_parse_ladder():
 
 
 def test_parse_sum_with_conjugate():
-    expr = parse("1/2 + ~1/2")
-    assert isinstance(expr, Sum)
-    assert expr.terms == (FracLit(1, 1), Conj(FracLit(1, 1)))
-    built = elaborate(expr)
-    assert built == add(
-        dyadic_game(NumberLiteral(1, 1)), dyadic_game(NumberLiteral(-1, 1))
-    )
+    half = dyadic_game(NumberLiteral(1, 1))
+    assert conjugate(half) == dyadic_game(NumberLiteral(-1, 1))
+    assert parse_game("1/2 + ~1/2") == add(half, conjugate(half))
+    assert parse_game("~1/2") == conjugate(half)
 
 
 def test_parse_fraction_reduction():
-    assert parse("2/4") == FracLit(1, 1)
-    assert parse("4/2") == IntLit(2)
+    assert parse_game("2/4") == dyadic_game(Fraction(1, 2))
+    assert parse_game("4/2") == integer_game(2)
     assert parse_game("5/1") == integer_game(5)
 
 
 def test_parse_rejects_bad_denominator():
     with pytest.raises(ParseError) as err:
-        parse("3/6")
+        parse_game("3/6")
     assert "power of two" in str(err.value)
 
 
 def test_parse_rejects_lambda_zero():
     with pytest.raises(ParseError):
-        parse("lambda(0)")
+        parse_game("lambda(0)")
 
 
 def test_parse_error_position():
     with pytest.raises(ParseError) as err:
-        parse("{0|\n  ?}")
+        parse_game("{0|\n  ?}")
     assert err.value.line == 2 and err.value.column == 3
 
 
 def test_parse_errors():
     for text in ("", "{0|1", "1 +", "lambda(", "{0,|1}", "**", "foo"):
         with pytest.raises(ParseError):
-            parse(text)
+            parse_game(text)
 
 
 def test_parse_nested():
-    expr = parse("{1, {0|*} | ~lambda(2)}")
-    assert isinstance(expr, Braces)
-    game = elaborate(expr)
-    from deadending import left_options, right_options
-
+    game = parse_game("{1, {0|*} | ~lambda(2)}")
     assert right_options(game) == (conjugate(lambda_game(2)),)
     assert set(left_options(game)) == {integer_game(1), intern((ZERO,), (star(),))}
     assert parse_game("(1 + 1) + *") == add(integer_game(2), star())
@@ -215,30 +201,31 @@ def test_each_render_call_starts_from_an_empty_memo(monkeypatch):
     assert first == tree_render(g) and second == tree_render(g, 4)
 
 
-# The recursive-descent parser and the recursive elaboration that the walk
-# (games._walk) replaced, kept as the reference: they recurse once per level,
-# so they run on shallow inputs only.
+# The recursive-descent parser that the walk (games._walk) replaced, kept as
+# the reference: it recurses once per level, so it runs on shallow inputs
+# only.  Like the walk, it builds each game post-order and left to right,
+# adding each term of a sum as soon as it is built.
 
 
 class RecursiveParser(_Parser):
     def parse(self):
-        expr = self.expr()
+        game = self.expr()
         tail = self.peek()
         if tail.kind != "end":
             raise ParseError(f"trailing input {tail.text!r}", tail.line, tail.column)
-        return expr
+        return game
 
     def expr(self):
-        terms = [self.term()]
+        total = self.term()
         while self.peek().kind == "+":
             self.take("+")
-            terms.append(self.term())
-        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
+            total = add(total, self.term())
+        return total
 
     def term(self):
         if self.peek().kind == "~":
             self.take("~")
-            return Conj(self.term())
+            return conjugate(self.term())
         return self.atom()
 
     def atom(self):
@@ -247,7 +234,7 @@ class RecursiveParser(_Parser):
             return self.braces()
         if token.kind == "*":
             self.take("*")
-            return Star()
+            return star()
         if token.kind == "lambda":
             self.take("lambda")
             self.take("(")
@@ -256,7 +243,7 @@ class RecursiveParser(_Parser):
             k = int(nat.text)
             if k < 1:
                 raise ParseError("lambda index must be >= 1", nat.line, nat.column)
-            return Lambda(k)
+            return lambda_game(k)
         if token.kind == "(":
             self.take("(")
             inner = self.expr()
@@ -276,7 +263,7 @@ class RecursiveParser(_Parser):
         self.take("|")
         right = self.opts("}")
         self.take("}")
-        return Braces(left, right)
+        return intern(left, right)
 
     def opts(self, closer):
         token = self.peek()
@@ -292,26 +279,8 @@ class RecursiveParser(_Parser):
         return tuple(found)
 
 
-def recursive_elaborate(expr):
-    if isinstance(expr, IntLit):
-        return dyadic_game(NumberLiteral(expr.n, 0))
-    if isinstance(expr, FracLit):
-        return dyadic_game(NumberLiteral(expr.numerator, expr.exponent))
-    if isinstance(expr, Star):
-        return star()
-    if isinstance(expr, Lambda):
-        return lambda_game(expr.k)
-    if isinstance(expr, Conj):
-        return conjugate(recursive_elaborate(expr.inner))
-    if isinstance(expr, Sum):
-        total = ZERO
-        for term in expr.terms:
-            total = add(total, recursive_elaborate(term))
-        return total
-    return intern(
-        tuple(recursive_elaborate(e) for e in expr.left),
-        tuple(recursive_elaborate(e) for e in expr.right),
-    )
+def recursive_parse_game(text):
+    return RecursiveParser(text).parse()
 
 
 def parsed_or_error(parser, text):
@@ -322,10 +291,8 @@ def parsed_or_error(parser, text):
 
 
 def assert_walk_parses_as_recursive(text):
-    expected = parsed_or_error(lambda t: RecursiveParser(t).parse(), text)
-    assert parsed_or_error(parse, text) == expected, text
-    if not isinstance(expected, str):
-        assert elaborate(expected) == recursive_elaborate(expected), text
+    expected = parsed_or_error(recursive_parse_game, text)
+    assert parsed_or_error(parse_game, text) == expected, text
 
 
 MALFORMED = [
@@ -357,6 +324,40 @@ def test_walk_parses_as_recursive_on_random_games(sa, sb):
     assert_walk_parses_as_recursive(f"~({text}) + {render(h, depth=birthday(h) + 1)}")
 
 
+# Parses the texts of a JSON list on stdin with the walk or the recursive
+# reference, in a fresh process, and prints the store that leaves.
+STORE_AFTER_PARSING = """
+import json, sys
+from deadending import games
+from deadending.notation import parse_game
+from test_notation import recursive_parse_game
+parse = {"walk": parse_game, "recursive": recursive_parse_game}[sys.argv[1]]
+for text in json.load(sys.stdin):
+    parse(text)
+print(json.dumps(games._nodes))
+"""
+
+
+def store_after_parsing(parser, texts):
+    here = pathlib.Path(__file__).parent
+    package_root = pathlib.Path(notation.__file__).parents[1]
+    path = filter(None, [str(package_root), str(here), os.environ.get("PYTHONPATH")])
+    child = subprocess.run(
+        [sys.executable, "-c", STORE_AFTER_PARSING, parser],
+        input=json.dumps(texts), capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    )
+    return json.loads(child.stdout)
+
+
+def test_walk_interns_in_the_order_of_the_recursive_reference():
+    members = gen_dead_ending(2, 2).members
+    texts = WELL_FORMED + [render(g, depth=birthday(g) + 1) for g in members]
+    store = store_after_parsing("walk", texts)
+    assert len(store) > len(members)
+    assert store == store_after_parsing("recursive", texts)
+
+
 DEEP = 10**4
 
 
@@ -375,4 +376,4 @@ def test_deep_notation_within_a_shallow_stack():
     assert shallow(parse_game, "(" * DEEP + "1" + ")" * DEEP) == integer_game(1)
     assert shallow(as_integer, shallow(parse_game, f"-{DEEP} + ~lambda(1)")) is None
     with pytest.raises(ParseError):
-        shallow(parse, "{" * DEEP + "|" + "}" * (DEEP - 1))
+        shallow(parse_game, "{" * DEEP + "|" + "}" * (DEEP - 1))

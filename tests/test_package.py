@@ -1,17 +1,22 @@
-"""The package surface: what `from deadending import *` binds, and the README
-quickstart and command lines, run as written."""
+"""The package surface: what `from deadending import *` binds, the README
+quickstart and command lines, run as written, and the functions the
+benchmark traces by name."""
 
 import ast
 import contextlib
+import importlib
 import io
 import pathlib
 import re
 import shlex
+import types
 
 import deadending
 from deadending import cli
 
-README = pathlib.Path(__file__).parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).parents[1]
+README = ROOT / "README.md"
+BENCH_RUN = ROOT / "perfbench" / "run.py"
 
 
 def test_star_import_binds_every_name_the_package_imports():
@@ -72,3 +77,28 @@ def test_readme_command_lines_exit_and_print_what_their_comments_say():
             exit_code = cli.main(argv)
         assert exit_code == int(code or 0), (argv, err.getvalue())
         assert text in out.getvalue(), argv
+
+
+def traced_functions():
+    """The `TRACED_FUNCTIONS` tuple of the benchmark runner, read without importing it."""
+    for node in ast.parse(BENCH_RUN.read_text()).body:
+        if isinstance(node, ast.Assign) and [
+            target.id for target in node.targets if isinstance(target, ast.Name)
+        ] == ["TRACED_FUNCTIONS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no TRACED_FUNCTIONS in {BENCH_RUN}")
+
+
+def test_benchmark_traces_only_public_functions_that_exist():
+    # the runner reads a traced name it never saw as 0 calls, so a renamed or
+    # deleted function would pass unnoticed there
+    names = traced_functions()
+    assert names
+    for traced in names:
+        module_name, _, name = traced.partition(".")
+        module = importlib.import_module(f"deadending.{module_name}")
+        fn = getattr(module, name, None)
+        assert isinstance(fn, types.FunctionType), traced
+        assert not name.startswith("_"), traced
+        # the tracer names a function by the module that defines it
+        assert (fn.__module__, fn.__name__) == (module.__name__, name), traced
