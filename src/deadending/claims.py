@@ -74,6 +74,7 @@ from .universes import (
     gen_number_closure,
     geq_mod,
     invert_check,
+    number_multisets,
     quotient_monoid,
     reduce_end_to_integer,
     witness_contexts,
@@ -506,17 +507,16 @@ def _claim_right_option_length(bounds: Bounds, check: _Check) -> None:
 
 
 def _claim_number_sum_outcome(bounds: Bounds, check: _Check) -> None:
-    literals = number_literals(bounds.exponent, bounds.magnitude)
-    games = {lit: dyadic_game(lit) for lit in literals}
-    for size in range(bounds.terms + 1):
-        for combo in itertools.combinations_with_replacement(literals, size):
-            built = add_all(games[lit] for lit in combo)
-            check.run(
-                outcome_misere(built) == number_sum_outcome(combo),
-                built,
-                "solver disagrees with length rule",
-                terms=lambda: " + ".join(str(l) for l in combo) or "0",
-            )
+    _, combos = number_multisets(bounds.exponent, bounds.magnitude, bounds.terms)
+    for combo in combos:
+        literals = [lit for lit, _ in combo]
+        built = add_all(g for _, g in combo)
+        check.run(
+            outcome_misere(built) == number_sum_outcome(literals),
+            built,
+            "solver disagrees with length rule",
+            terms=lambda: " + ".join(str(l) for l in literals) or "0",
+        )
 
 
 def _claim_number_collapses(bounds: Bounds, check: _Check) -> None:
@@ -542,20 +542,19 @@ def _claim_number_collapses(bounds: Bounds, check: _Check) -> None:
 def _claim_number_plus_end(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests()
     left_ends = [x for x in tests.members if is_left_end(x)]
-    literals = number_literals(bounds.exponent, bounds.magnitude)
-    games = {lit: dyadic_game(lit) for lit in literals}
-    for size in range(1, bounds.terms + 1):
-        for combo in itertools.combinations_with_replacement(literals, size):
-            if number_sum_outcome(combo) != Outcome.L:
-                continue
-            built = add_all(games[lit] for lit in combo)
-            for x in left_ends:
-                check.run(
-                    outcome_misere_sum(built, x) == Outcome.L,
-                    x,
-                    "left end spoils a Left-won number sum",
-                    terms=lambda: " + ".join(str(l) for l in combo),
-                )
+    _, combos = number_multisets(bounds.exponent, bounds.magnitude, bounds.terms)
+    for combo in combos:
+        literals = [lit for lit, _ in combo]
+        if number_sum_outcome(literals) != Outcome.L:  # the empty sum is N
+            continue
+        built = add_all(g for _, g in combo)
+        for x in left_ends:
+            check.run(
+                outcome_misere_sum(built, x) == Outcome.L,
+                x,
+                "left end spoils a Left-won number sum",
+                terms=lambda: " + ".join(str(l) for l in literals),
+            )
     check.details["left_ends"] = len(left_ends)
 
 

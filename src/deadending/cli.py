@@ -389,7 +389,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return out.finish(ns.func(ns, out))
     except BudgetExceededError as err:
-        print(f"budget exceeded: {err}", file=sys.stderr)
+        print(f"budget exceeded: {err}{err.hint}", file=sys.stderr)
         return _EXIT_BUDGET
     except (ParseError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)

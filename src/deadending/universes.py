@@ -69,11 +69,12 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, descriptor: str, needed: int, allowed: int, hint: str = ""):
         super().__init__(
             f"test set {descriptor} needs {needed} members, which exceeds the "
-            f"budget of {allowed}{hint}"
+            f"budget of {allowed}"
         )
         self.descriptor = descriptor
         self.needed = needed
         self.allowed = allowed
+        self.hint = hint  # advice for a caller that can change the descriptor
 
 
 @dataclass(frozen=True)
@@ -333,18 +334,22 @@ def gen_dead_ends(birthday_cap: int, option_cap: int) -> list[GameId]:
 
     The dead left ends are the conjugates of the dead right ends.  Each day's
     are conjugated as soon as its right ends are built, so that new games are
-    interned in birthday order.  Each day is refused before it is built when
-    its projected size, every option subset of the pool taken as a new right
-    end and its conjugate, exceeds the member budget.
+    interned in birthday order.  A day's right ends are zero and every option
+    subset of the previous day's, so the bounds are refused before any day is
+    built when some day's projected size, every option subset of the pool
+    taken as a new right end and its conjugate, exceeds the member budget.
     """
+    count = 1  # right ends so far: zero, then a day's option subsets of them
+    for _day in range(birthday_cap):
+        projected = 2 * count - 1 + 2 * _subset_count(count, option_cap)
+        if projected > DEFAULT_MEMBER_BUDGET:
+            descriptor = f"dead-ends:b{birthday_cap}:k{option_cap}"
+            raise BudgetExceededError(descriptor, projected, DEFAULT_MEMBER_BUDGET)
+        count = 1 + _subset_count(count, option_cap)
     rights: list[GameId] = [ZERO]
     ends = {ZERO}
     for _day in range(birthday_cap):
         pool = sort_games(rights)
-        projected = len(ends) + 2 * _subset_count(len(pool), option_cap)
-        if projected > DEFAULT_MEMBER_BUDGET:
-            descriptor = f"dead-ends:b{birthday_cap}:k{option_cap}"
-            raise BudgetExceededError(descriptor, projected, DEFAULT_MEMBER_BUDGET)
         for size in range(1, option_cap + 1):
             for sub in itertools.combinations(pool, size):
                 g = intern(sub, ())
@@ -356,30 +361,37 @@ def gen_dead_ends(birthday_cap: int, option_cap: int) -> list[GameId]:
     return sort_games(ends)
 
 
-def _sum_closure(
-    descriptor: str,
-    items: Sequence[T],
-    game: Callable[[T], GameId],
-    max_terms: int,
-) -> TestSet:
-    """The distinct sums of up to max_terms of the items' games, in key order.
+def bounded_multisets(
+    descriptor: str, count: int, items: Callable[[], Sequence[T]], max_terms: int
+) -> Iterator[tuple[T, ...]]:
+    """Every multiset of at most max_terms of the count items, by size.
 
-    The budget is checked first, so a refused descriptor interns no node.
+    Their number is checked against the member budget first, under the
+    descriptor.  The items are listed only after it passes, and only when
+    there are terms to draw, so a refused descriptor lists no item and
+    builds no game.
     """
-    # the multisets of at most max_terms items; just the empty one of no items
-    total = comb(len(items) + max_terms, max_terms)
+    total = comb(count + max_terms, max_terms)
     if total > DEFAULT_MEMBER_BUDGET:
         raise BudgetExceededError(descriptor, total, DEFAULT_MEMBER_BUDGET)
-    games = [game(item) for item in items]
-    members: list[GameId] = []
-    seen: set[GameId] = set()
-    for size in range(max_terms + 1):
-        for combo in itertools.combinations_with_replacement(games, size):
-            g = add_all(combo)
-            if g not in seen:
-                seen.add(g)
-                members.append(g)
-    return TestSet(descriptor, tuple(sort_games(members)))
+    pool = items() if max_terms else ()
+    return itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(pool, size)
+        for size in range(max_terms + 1)
+    )
+
+
+def number_multisets(
+    max_exponent: int, max_magnitude: int, max_terms: int
+) -> tuple[str, Iterator[tuple[tuple[NumberLiteral, GameId], ...]]]:
+    """The numbers test set's descriptor, and its multisets of literals, each
+    paired with its game; the games are built in the literals' order."""
+    descriptor = f"numbers:j{max_exponent}:v{max_magnitude}:t{max_terms}"
+    numbers = lambda: [
+        (lit, dyadic_game(lit)) for lit in number_literals(max_exponent, max_magnitude)
+    ]
+    count = max_magnitude << (max_exponent + 1)  # len(numbers())
+    return descriptor, bounded_multisets(descriptor, count, numbers, max_terms)
 
 
 def gen_dead_end_closure(birthday_cap: int, option_cap: int, max_terms: int) -> TestSet:
@@ -388,16 +400,17 @@ def gen_dead_end_closure(birthday_cap: int, option_cap: int, max_terms: int) -> 
         raise ValueError("max_terms must be >= 0")
     descriptor = f"dead-end-closure:b{birthday_cap}:k{option_cap}:t{max_terms}"
     ends = gen_dead_ends(birthday_cap, option_cap)
-    return _sum_closure(descriptor, ends, lambda g: g, max_terms)
+    combos = bounded_multisets(descriptor, len(ends), lambda: ends, max_terms)
+    return TestSet(descriptor, tuple(sort_games({add_all(c) for c in combos})))
 
 
 def gen_number_closure(
     max_exponent: int, max_magnitude: int, max_terms: int
 ) -> TestSet:
     """Sums of up to max_terms canonical numbers within the literal bounds."""
-    descriptor = f"numbers:j{max_exponent}:v{max_magnitude}:t{max_terms}"
-    literals = number_literals(max_exponent, max_magnitude)
-    return _sum_closure(descriptor, literals, dyadic_game, max_terms)
+    descriptor, combos = number_multisets(max_exponent, max_magnitude, max_terms)
+    sums = {add_all(g for _, g in c) for c in combos}
+    return TestSet(descriptor, tuple(sort_games(sums)))
 
 
 def generate(descriptor: str) -> TestSet:
@@ -594,8 +607,11 @@ class MonoidReport:
     identity_label: int
     inverse_pairs: list[tuple[int, int]]
     order: dict[tuple[int, int], str]
-    consistent: bool
-    notes: list[str]
+    notes: list[str]  # each inconsistency in the label bookkeeping
+
+    @property
+    def consistent(self) -> bool:
+        return not self.notes
 
     def to_dict(self) -> dict:
         from .notation import render
@@ -660,27 +676,17 @@ def quotient_monoid(
     if any(conjugate(g) not in gen_set for g in gens):
         raise ValueError("generator set must be closed under conjugation")
     labels = {g: _generator_label(g) for g in gens}
-    total = comb(len(gens) + max_terms, max_terms)
-    if total > DEFAULT_MEMBER_BUDGET:
-        raise BudgetExceededError(
-            "monoid generator sums", total, DEFAULT_MEMBER_BUDGET
-        )
+    combos = bounded_multisets(
+        "monoid generator sums", len(gens), lambda: gens, max_terms
+    )
 
     notes: list[str] = []
-    consistent = True
     sums: dict[GameId, int] = {}
-    for size in range(max_terms + 1):
-        for combo in itertools.combinations_with_replacement(gens, size):
-            s = add_all(combo)
-            label = sum(labels[g] for g in combo)
-            if s in sums:
-                if sums[s] != label:
-                    consistent = False
-                    notes.append(
-                        f"structurally equal sums carry labels {sums[s]} and {label}"
-                    )
-            else:
-                sums[s] = label
+    for combo in combos:
+        s = add_all(combo)
+        label = sum(labels[g] for g in combo)
+        if sums.setdefault(s, label) != label:
+            notes.append(f"structurally equal sums carry labels {sums[s]} and {label}")
 
     table = tests.table
     table.solve(sums)
@@ -693,59 +699,46 @@ def quotient_monoid(
             continue
         cls.members.append(s)
         if sums[s] != cls.label:
-            consistent = False
             notes.append(
                 f"class with label {cls.label} absorbed a sum labeled {sums[s]}"
             )
     classes = list(by_signature.values())
-    label_list = sorted({cls.label for cls in classes})
-    if len(label_list) != len(classes):
-        consistent = False
-        notes.append("distinct classes share a label")
-
     by_label = {cls.label: cls for cls in classes}
+    if len(by_label) != len(classes):
+        notes.append("distinct classes share a label")
+    label_list = sorted(by_label)
+
     product: dict[tuple[int, int], int] = {}
     pairs: dict[tuple[int, int], tuple[GameId, GameId]] = {}
+    order: dict[tuple[int, int], str] = {}
     for la in label_list:
+        a = by_label[la].representative
         for lb in label_list:
+            b = by_label[lb].representative
             target = la + lb
             product[(la, lb)] = target
             # built in this order, sum then reference, so that ids never move
-            combined = add(by_label[la].representative, by_label[lb].representative)
+            combined = add(a, b)
             if target in by_label:
                 reference = by_label[target].representative
             else:
                 reference = integer_game(target)
             pairs[(la, lb)] = combined, reference
+            if la != lb:  # the representatives' rows were solved with the sums
+                order[(la, lb)] = geq_mod(a, b, tests).relation.value
     table.solve(itertools.chain.from_iterable(pairs.values()))
     product_verified = {
         key: table.signature(g) == table.signature(h) for key, (g, h) in pairs.items()
     }
 
-    zero_class = next((cls for cls in classes if ZERO in cls.members), None)
-    if zero_class is None:
-        consistent = False
-        notes.append("no class contains the zero game")
-        identity_label = 0
-    else:
-        identity_label = zero_class.label
-
+    # the empty sum is a sum, so zero has a class
     zero = table.signature(ZERO)
+    identity_label = by_signature[zero].label
     inverse_pairs = [
         (la, lb)
         for (la, lb), (combined, _) in pairs.items()
         if la <= lb and la + lb == identity_label and table.signature(combined) == zero
     ]
-
-    order: dict[tuple[int, int], str] = {}
-    for la in label_list:
-        for lb in label_list:
-            if la == lb:
-                continue
-            verdict = geq_mod(
-                by_label[la].representative, by_label[lb].representative, tests
-            )
-            order[(la, lb)] = verdict.relation.value
 
     return MonoidReport(
         descriptor=tests.descriptor,
@@ -757,6 +750,5 @@ def quotient_monoid(
         identity_label=identity_label,
         inverse_pairs=inverse_pairs,
         order=order,
-        consistent=consistent,
         notes=notes,
     )

@@ -28,6 +28,7 @@ from deadending.claims import (
     run_all,
     run_claim,
 )
+from deadending.games import store_size
 from deadending.universes import (
     DEFAULT_MEMBER_BUDGET,
     BudgetExceededError,
@@ -211,6 +212,23 @@ def test_a_refused_test_set_skips_its_claim_with_the_reason(monkeypatch):
         "test set dead-ends:b9:k2 needs 1000000000 members, "
         "which exceeds the budget of 500000"
     )
+
+
+@pytest.mark.parametrize("claim", ["lemma:number-sum-outcome", "lemma:number-plus-end"])
+def test_number_sum_claims_refuse_their_multisets_before_building(claim):
+    # 2,760,681 multisets of at most 6 of the 32 literals: the number
+    # collapse claim's test set, refused under the same descriptor
+    gen_dead_ending(2, 2)  # the plus-end claim's contexts, built first
+    before = store_size()
+    report = run_claim(claim, Bounds(terms=6))
+    assert report.status == "skipped" and report.cases == 0
+    assert report.details["reason"] == (
+        "test set numbers:j3:v2:t6 needs 2760681 members, "
+        "which exceeds the budget of 500000"
+    )
+    assert store_size() == before
+    collapse = run_claim("cor:number-collapses", Bounds(terms=6))
+    assert collapse.details["reason"] == report.details["reason"]
 
 
 def test_failures_before_a_refusal_still_refute(monkeypatch):

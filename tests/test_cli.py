@@ -43,6 +43,17 @@ GOLDEN_CASES = {
                           "--tests", "dead-end-closure:b2:k2:t2", "--json"],
 }
 
+# Envelopes that render games whose options were first interned in another
+# order by other tests: `render` lists options in id order, so these are
+# compared as a fresh process prints them.
+FRESH_GOLDEN_CASES = {
+    "monoid_dyadics.json": ["monoid", "--generators", "dyadics:j3:v1", "--terms", "2",
+                            "--tests", "numbers:j3:v2:t2", "--json"],
+    "monoid_dead_ends.json": ["monoid", "--generators", "{0|};{|0};{0,1|};{|0,-1};0",
+                              "--terms", "2", "--tests", "dead-end-closure:b2:k2:t2",
+                              "--json"],
+}
+
 
 def run_cli(argv):
     buf = io.StringIO()
@@ -181,6 +192,16 @@ def test_verify_skips_only_the_claims_whose_test_set_is_refused():
         assert "dead-ends:b7:k2" in report["details"]["reason"], report["claim"]
 
 
+def test_verify_reasons_offer_no_cap():
+    # verify takes no cap, so its reasons offer none; `universe` does
+    code, out, _ = run_cli(["verify", "all", "--eb", "3", "--json"])
+    assert code == 3
+    reports = json.loads(out)["result"]["reports"]
+    reasons = [r["details"]["reason"] for r in reports if r["status"] == "skipped"]
+    refusal = REFUSED.format("dead-ending:b3:k2", 33385305)
+    assert reasons == [refusal.removeprefix("budget exceeded: ")] * 10
+
+
 def test_parse_error_is_usage_error():
     code, _, err = run_cli(["outcome", "3/6"])
     assert code == 2 and "power of two" in err
@@ -217,6 +238,14 @@ def test_monoid_negative_terms_is_usage_error():
     code, out, err = run_cli(argv)
     assert code == 2 and out == ""
     assert "max_terms must be >= 0" in err
+
+
+@pytest.mark.parametrize("spec", ["dyadics:j3", "dyadics:jx:v1"])
+def test_malformed_dyadic_generators_are_usage_errors(spec):
+    argv = ["monoid", "--generators", spec, "--terms", "2", "--tests", "numbers:j3:v2:t2"]
+    code, out, err = run_cli(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
 
 
 def test_verify_flag_defaults_are_the_bounds_defaults():
@@ -298,6 +327,14 @@ def test_golden_files(name):
     data["_exit_code"] = code
     expected = json.loads((GOLDEN / name).read_text())
     assert data == expected
+
+
+@pytest.mark.parametrize("name", sorted(FRESH_GOLDEN_CASES))
+def test_golden_files_from_a_fresh_process(name):
+    child = run_child("deadending", FRESH_GOLDEN_CASES[name])
+    data = scrub(json.loads(child.stdout))
+    data["_exit_code"] = child.returncode
+    assert data == json.loads((GOLDEN / name).read_text())
 
 
 def run_child(module, argv):

@@ -68,7 +68,7 @@ def test_readme_command_lines_exit_and_print_what_their_comments_say():
     # a comment reads "TEXT", "TEXT, exit N" or "TEXT (remark)"; no comment
     # means exit 0
     lines = command_lines()
-    assert len(lines) == 12
+    assert len(lines) == 13
     for argv, comment in lines:
         text, _, code = comment.partition(", exit ")
         text = re.sub(r"\(.*\)", "", text).strip()

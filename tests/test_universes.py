@@ -185,6 +185,27 @@ def test_closure_budget_counts_every_multiset(descriptor, items, terms):
     assert err.value.needed == sum(comb(items + k - 1, k) for k in range(terms + 1))
 
 
+def test_number_literal_count_has_a_closed_form():
+    # the numbers test sets are refused on this count, before any is listed
+    for exponent, magnitude in itertools.product(range(9), range(5)):
+        count = len(number_literals(exponent, magnitude))
+        assert count == magnitude << (exponent + 1), (exponent, magnitude)
+
+
+def test_bounded_multisets_count_before_listing():
+    def unlisted():
+        raise AssertionError("items listed")
+
+    with pytest.raises(BudgetExceededError) as err:
+        universes.bounded_multisets("many", 10**6, unlisted, 1)
+    assert (err.value.descriptor, err.value.needed) == ("many", 10**6 + 1)
+    assert list(universes.bounded_multisets("none", 10**6, unlisted, 0)) == [()]
+    combos = universes.bounded_multisets("abc", 3, lambda: "abc", 2)
+    assert ["".join(c) for c in combos] == [
+        "", "a", "b", "c", "aa", "ab", "ac", "bb", "bc", "cc"
+    ]
+
+
 def test_gen_dead_ending_capped_prefix():
     full = gen_dead_ending(2, 2)
     sliced = gen_dead_ending(3, 2, cap=300)
@@ -196,13 +217,13 @@ def test_gen_dead_ending_capped_prefix():
 
 @pytest.mark.parametrize("birthday_cap, option_cap", [(6, 2), (5, 3)])
 def test_gen_dead_ends_refuses_the_day_past_the_budget(birthday_cap, option_cap):
-    # day 6 of k=2 projects 5.2 M ends, day 5 of k=3 63.7 M; only the days
-    # before are built
+    # day 6 of k=2 projects 5.2 M ends, day 5 of k=3 63.7 M; the days are
+    # counted before any is built, so none is
     before = store_size()
     with pytest.raises(BudgetExceededError) as err:
         gen_dead_ends(birthday_cap, option_cap)
     assert err.value.needed > err.value.allowed
-    assert store_size() - before <= len(gen_dead_ends(birthday_cap - 1, option_cap))
+    assert store_size() == before
 
 
 def test_gen_dead_ending_deterministic():
@@ -331,6 +352,8 @@ def test_generate_cache_stays_within_its_bound():
         ("numbers:j10:v8:t3", BudgetExceededError),
         ("dead-ending:b3:k2", BudgetExceededError),
         ("dead-ending:b3:k2:cap500001", BudgetExceededError),  # a cap past the budget
+        ("dead-end-closure:b7:k2:t1", BudgetExceededError),  # refused before day 1
+        ("numbers:j40:v1:t1", BudgetExceededError),  # 2**41 literals, none listed
     ],
 )
 def test_generate_raises_on_every_call_and_keeps_nothing(descriptor, error):
