@@ -19,9 +19,8 @@ import functools
 import itertools
 import random
 import time
-from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .games import (
     ZERO,
@@ -81,7 +80,6 @@ from .universes import (
 )
 
 
-@dataclass(frozen=True)
 class Bounds:
     """Scale knobs for the bounded checks.
 
@@ -89,7 +87,9 @@ class Bounds:
     magnitude bound number literals; scan_birthday bounds the dead-ending
     context universe used for equivalence scans, which grows so much faster
     than the others that it gets its own knob.  struct_exponent bounds the
-    purely arithmetic dyadic checks, which are nearly free.
+    purely arithmetic dyadic checks, which are nearly free.  The class
+    attributes are the defaults.  Equal bounds compare and hash by their
+    fields; each keeps its own test sets.
     """
 
     birthday: int = 3
@@ -100,14 +100,32 @@ class Bounds:
     scan_birthday: int = 2
     struct_exponent: int = 6
     seed: int = 0
+    _FIELDS = ("birthday", "options", "terms", "exponent", "magnitude", "scan_birthday",
+               "struct_exponent", "seed")
 
-    def __post_init__(self) -> None:
-        for name, value in self.to_dict().items():
+    def __init__(self, **bounds: int) -> None:
+        for name, value in bounds.items():  # the defaults are valid
+            if name not in self._FIELDS:
+                raise TypeError(f"unknown bound {name!r}")
             if name != "seed" and value < 0:
                 raise ValueError(f"bound {name} must be >= 0, got {value}")
+        self.__dict__.update(bounds)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        return self.to_dict() == other.to_dict() if type(other) is Bounds else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.to_dict().values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.to_dict().items())
+        return f"Bounds({fields})"
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {name: getattr(self, name) for name in self._FIELDS}
 
     def dead_ending_tests(self) -> TestSet:
         return self._dead_ending_tests
@@ -138,18 +156,17 @@ class Bounds:
         return TestSet(f"ladders:r{size}:d{size}", tuple(witness_contexts(size, size)))
 
 
-@dataclass
-class ClaimReport:
+class ClaimReport(NamedTuple):
     claim: str
     status: str  # "pass" | "refuted" | "skipped"
     bounds: dict
     cases: int
     witnesses: list[dict]
     duration_ms: int
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     def line(self) -> str:
         mark = {"pass": "PASS", "refuted": "FAIL", "skipped": "SKIP"}[self.status]
@@ -635,12 +652,12 @@ def _claim_simplicity_length(bounds: Bounds, check: _Check) -> None:
         for lit in number_literals(bounds.struct_exponent, bounds.magnitude)
         if lit.numerator > 0
     ]
-    values = [lit.value for lit in literals]
+    values = [lit.scaled(bounds.struct_exponent) for lit in literals]
     for a, a_value in zip(literals, values):
         a_left = a.left_option()
         if a_left is None:
             continue
-        low, la = a_left.value, a_left.left_length()
+        low, la = a_left.scaled(bounds.struct_exponent), a_left.left_length()
         for b, b_value in zip(literals, values):
             if low < b_value < a_value:
                 lb = b.left_length()

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 import time
@@ -49,9 +50,10 @@ from .games import (
     number_literals,
     right_length,
 )
-from .notation import ParseError, parse_game, render
+from .notation import ParseError, parse_game, render, render_all
 from .outcomes import outcome_misere, outcome_normal
 from .universes import (
+    DEFAULT_MEMBER_BUDGET,
     BudgetExceededError,
     Relation,
     Verdict,
@@ -231,7 +233,7 @@ def _cmd_universe(ns: argparse.Namespace, out: _Emitter) -> int:
     out.bounds = {"tests": tests.descriptor}
     out.result = {"descriptor": tests.descriptor, "count": len(tests)}
     if ns.list:
-        out.result["members"] = [render(g) for g in tests.members]
+        out.result["members"] = render_all(tests.members)
         for text in out.result["members"]:
             out.say(text)
     else:
@@ -240,8 +242,16 @@ def _cmd_universe(ns: argparse.Namespace, out: _Emitter) -> int:
 
 
 def _parse_generators(spec: str) -> list[GameId]:
+    """The generator games of a spec; a range or literal list longer than the
+    member budget is refused on its count, before any game is built."""
+
+    def counted(count: int) -> None:
+        if count > DEFAULT_MEMBER_BUDGET:
+            raise BudgetExceededError(spec, count, DEFAULT_MEMBER_BUDGET)
+
     if spec.startswith("ints:"):
         lo, _, hi = spec[len("ints:"):].partition("..")
+        counted(int(hi) - int(lo) + 1)
         return [integer_game(n) for n in range(int(lo), int(hi) + 1)]
     if spec.startswith("dyadics:"):
         fields = spec.split(":")
@@ -249,6 +259,7 @@ def _parse_generators(spec: str) -> list[GameId]:
             raise ValueError(f"malformed generator spec {spec!r}")
         exponent = int(fields[1][1:])
         magnitude = int(fields[2][1:])
+        counted((magnitude << (exponent + 1)) + 1)  # the literals, zero included
         return [
             dyadic_game(lit)
             for lit in number_literals(exponent, magnitude, include_zero=True)
@@ -293,6 +304,14 @@ def _cmd_verify(ns: argparse.Namespace, out: _Emitter) -> int:
     if refuted:
         return _EXIT_REFUTED
     return _EXIT_OK
+
+
+def _seconds(text: str) -> float:
+    """A finite number of seconds: a nan budget would never be spent."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"budget must be a finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("claim", help="a claim id or 'all'")
     for flag, (name, text) in _BOUND_FLAGS.items():
         p.add_argument(f"--{flag}", type=int, default=getattr(Bounds, name), help=text)
-    p.add_argument("--budget", type=float, default=None, help="wall-clock seconds")
+    p.add_argument("--budget", type=_seconds, default=None, help="wall-clock seconds")
     p.set_defaults(func=_cmd_verify, inputs=("claim", "budget"))
 
     return parser

@@ -31,9 +31,10 @@ from __future__ import annotations
 import functools
 import threading
 from bisect import bisect
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Union
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 GameId = int
 
@@ -152,35 +153,55 @@ def _every(keys):
 # numbers as literals
 
 
-@dataclass(frozen=True, order=True)
-class NumberLiteral:
+class NumberLiteral(NamedTuple("NumberLiteral", [("numerator", int), ("exponent", int)])):
     """A dyadic rational numerator / 2**exponent in lowest terms.
 
     Integers carry exponent 0; for a positive exponent the numerator must be
     odd.  These literals name canonical-form number games without building
-    them, and support the arithmetic that mirrors the game structure.
+    them, and support the arithmetic that mirrors the game structure, on
+    integers alone.  As tuples they compare, hash and sort by (numerator,
+    exponent).
     """
 
-    numerator: int
-    exponent: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.exponent < 0:
+    def __new__(cls, numerator: int, exponent: int) -> "NumberLiteral":
+        if exponent < 0:
             raise ValueError("exponent must be nonnegative")
-        if self.exponent > 0 and self.numerator % 2 == 0:
+        if exponent > 0 and numerator % 2 == 0:
             raise ValueError("non-integer literal must have an odd numerator")
+        return super().__new__(cls, numerator, exponent)
+
+    @classmethod
+    def _make(cls, fields) -> "NumberLiteral":  # so that `_replace` validates too
+        return cls(*fields)
+
+    @classmethod
+    def reduced(cls, numerator: int, exponent: int) -> "NumberLiteral":
+        """numerator / 2**exponent in lowest terms."""
+        twos = (numerator & -numerator).bit_length() - 1 if numerator else exponent
+        shift = min(twos, exponent)
+        return cls(numerator >> shift, exponent - shift)
+
+    def scaled(self, exponent: int) -> int:
+        """The numerator of this value over 2**exponent, for exponent >= self.exponent:
+        literals scaled to one exponent compare as their values do."""
+        return self.numerator << exponent - self.exponent
 
     @classmethod
     def from_value(cls, value: Union[int, Fraction]) -> "NumberLiteral":
-        frac = Fraction(value)
-        denominator = frac.denominator
+        """The literal of an int, or of a rational with `numerator` and
+        `denominator` in lowest terms, such as a `Fraction`."""
+        denominator = value.denominator
         exponent = denominator.bit_length() - 1
         if 1 << exponent != denominator:
-            raise ValueError(f"{frac} is not a dyadic rational")
-        return cls(frac.numerator, exponent)
+            raise ValueError(f"{value} is not a dyadic rational")
+        return cls(value.numerator, exponent)
 
     @property
     def value(self) -> Fraction:
+        from fractions import Fraction  # not on any engine path: it costs import time
+
         return Fraction(self.numerator, 1 << self.exponent)
 
     @property
@@ -198,9 +219,7 @@ class NumberLiteral:
         """The Left option of the canonical game this literal names."""
         if self.exponent == 0:
             return NumberLiteral(self.numerator - 1, 0) if self.numerator > 0 else None
-        return NumberLiteral.from_value(
-            Fraction(self.numerator - 1, 1 << self.exponent)
-        )
+        return NumberLiteral.reduced(self.numerator - 1, self.exponent)
 
     def right_option(self) -> Optional["NumberLiteral"]:
         option = self.conjugated().left_option()
@@ -240,15 +259,14 @@ def number_literals(
     """
     found = []
     for exponent in range(max_exponent + 1):
-        scale = 1 << exponent
-        top = int(Fraction(max_magnitude) * scale)
+        top = (max_magnitude.numerator << exponent) // max_magnitude.denominator
         for numerator in range(-top, top + 1):
             if exponent > 0 and numerator % 2 == 0:
                 continue
             if numerator == 0 and not include_zero:
                 continue
             found.append(NumberLiteral(numerator, exponent))
-    found.sort(key=lambda lit: (lit.value, lit.exponent))
+    found.sort(key=lambda lit: (lit.scaled(max_exponent), lit.exponent))
     return found
 
 
@@ -527,7 +545,8 @@ def _as_number(g: GameId) -> Optional[NumberLiteral]:
         low = yield left[0]
         high = yield right[0]
         if low is not None and high is not None:
-            mean = NumberLiteral.from_value((low.value + high.value) / 2)
+            top = max(low.exponent, high.exponent)
+            mean = NumberLiteral.reduced(low.scaled(top) + high.scaled(top), top + 1)
             if (mean.left_option(), mean.right_option()) == (low, high):
                 return mean
     return None

@@ -22,12 +22,12 @@ integers, non-integer numbers, ladders, and star over brace form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import Iterable, NamedTuple
 
 from .games import (
     ZERO,
     GameId,
+    NumberLiteral,
     _all,
     _walk,
     add,
@@ -52,8 +52,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # one of the symbol chars, "nat", "lambda", "end"
     text: str
     line: int
@@ -205,7 +204,8 @@ class _Parser:
                     denom_token.line,
                     denom_token.column,
                 )
-            return dyadic_game(Fraction(numerator, denominator))
+            exponent = denominator.bit_length() - 1
+            return dyadic_game(NumberLiteral.reduced(numerator, exponent))
         return dyadic_game(numerator)
 
 
@@ -224,11 +224,17 @@ def render(g: GameId, depth: int = 6) -> str:
     any depth; round-tripping through parse_game is exact whenever nothing
     was elided.  Like the recognizers it reads, rendering builds no game.
     """
-    return _walk(_render, (g, depth), {})
+    return render_all((g,), depth)[0]
+
+
+def render_all(games: Iterable[GameId], depth: int = 6) -> list[str]:
+    """`render` of each game, with one memo for the whole list, so a subgame
+    the games share renders once; the memo lives for one call, none is kept."""
+    memo: dict[tuple[GameId, int], str] = {}
+    return [memo.get((g, depth)) or _walk(_render, (g, depth), memo) for g in games]
 
 
 def _render(key: tuple[GameId, int]):
-    # the memo lives for one call: shared subgames render once, none is kept
     g, depth = key
     literal = as_number(g)
     if literal is not None:

@@ -25,11 +25,10 @@ that signature.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .games import (
     ZERO,
@@ -77,14 +76,30 @@ class BudgetExceededError(RuntimeError):
         self.hint = hint  # advice for a caller that can change the descriptor
 
 
-@dataclass(frozen=True)
 class TestSet:
-    """A descriptor string plus the deterministic member list it denotes."""
+    """A descriptor string plus the deterministic member list it denotes.
+
+    Equal test sets are equal field by field; each keeps its own table.
+    """
 
     __test__ = False  # not a pytest class, despite the name
 
-    descriptor: str
-    members: tuple[GameId, ...]
+    def __init__(self, descriptor: str, members: tuple[GameId, ...]):
+        self.__dict__.update(descriptor=descriptor, members=members)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not TestSet:
+            return NotImplemented
+        return (self.descriptor, self.members) == (other.descriptor, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.descriptor, self.members))
+
+    def __repr__(self) -> str:
+        return f"TestSet(descriptor={self.descriptor!r}, members={self.members!r})"
 
     def __len__(self) -> int:
         return len(self.members)
@@ -479,8 +494,7 @@ class Relation(Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """A relation between two games, with what it rests on.
 
     `basis` is the descriptor of the scanned test set, or, for an exact
@@ -545,17 +559,19 @@ def compare_numbers_mod_E(a: NumberLiteral, b: NumberLiteral) -> Verdict:
 
 
 def _number_relation(a: NumberLiteral, b: NumberLiteral) -> Relation:
-    if a.value == b.value:
+    top = max(a.exponent, b.exponent)
+    x, y = a.scaled(top), b.scaled(top)
+    if x == y:
         return Relation.EQUIVALENT
-    if a.value < 0 and b.value < 0:
+    if x < 0 and y < 0:
         return _number_relation(b.conjugated(), a.conjugated())
-    if a.value <= 0 or b.value <= 0:
+    if x <= 0 or y <= 0:
         return Relation.INCOMPARABLE
     la, lb = a.left_length(), b.left_length()
     assert la is not None and lb is not None
-    if a.value > b.value and la <= lb:
+    if x > y and la <= lb:
         return Relation.GREATER
-    if b.value > a.value and lb <= la:
+    if y > x and lb <= la:
         return Relation.LESS
     return Relation.INCOMPARABLE
 
@@ -586,16 +602,14 @@ def reduce_end_to_integer(g: GameId) -> NumberLiteral:
 # monoid quotient
 
 
-@dataclass
-class MonoidClass:
+class MonoidClass(NamedTuple):
     label: int
     representative: GameId
     members: list[GameId]
     outcome: Outcome
 
 
-@dataclass
-class MonoidReport:
+class MonoidReport(NamedTuple):
     """Quotient of bounded generator sums by indistinguishability over a test set."""
 
     descriptor: str
@@ -614,17 +628,21 @@ class MonoidReport:
         return not self.notes
 
     def to_dict(self) -> dict:
-        from .notation import render
+        from .notation import render_all
 
+        games = [*self.generators]
+        for cls in self.classes:
+            games += cls.representative, *cls.members
+        name = dict(zip(games, render_all(games)))
         return {
             "tests": self.descriptor,
-            "generators": [render(g) for g in self.generators],
+            "generators": [name[g] for g in self.generators],
             "max_terms": self.max_terms,
             "classes": [
                 {
                     "label": cls.label,
-                    "representative": render(cls.representative),
-                    "members": [render(m) for m in cls.members],
+                    "representative": name[cls.representative],
+                    "members": [name[m] for m in cls.members],
                     "outcome": cls.outcome.value,
                 }
                 for cls in self.classes

@@ -104,6 +104,22 @@ def test_bounds_build_scan_test_sets_once():
     }
 
 
+def test_bounds_are_frozen_records():
+    bounds = Bounds(terms=1, seed=4)
+    assert bounds == Bounds(seed=4, terms=1) != Bounds(terms=1)
+    assert bounds != Bounds(**dict(bounds.to_dict(), seed=5))
+    assert repr(bounds) == (
+        "Bounds(birthday=3, options=2, terms=1, exponent=3, magnitude=2, "
+        "scan_birthday=2, struct_exponent=6, seed=4)"
+    )
+    with pytest.raises(AttributeError):
+        bounds.terms = 2
+    with pytest.raises(TypeError):
+        Bounds(width=2)
+    with pytest.raises(ValueError):
+        Bounds(terms=-1)
+
+
 def test_closure_test_set_is_built_once_per_bounds(monkeypatch):
     built = []
     generate = claims.gen_dead_end_closure
@@ -142,8 +158,7 @@ def test_reports_round_trip():
 def test_reports_deterministic_modulo_duration():
     a = run_claim("thm:int-incomparable", SMALL)
     b = run_claim("thm:int-incomparable", SMALL)
-    a.duration_ms = b.duration_ms = 0
-    assert a == b
+    assert a._replace(duration_ms=0) == b._replace(duration_ms=0)
 
 
 def test_run_all_zero_budget_skips_everything():
@@ -158,8 +173,7 @@ def test_run_all_matches_single_runs():
     assert [r.claim for r in reports] == claim_ids()
     assert all(r.status == "pass" for r in reports)
     single = run_claim(reports[3].claim, SMALL)
-    single.duration_ms = reports[3].duration_ms = 0
-    assert single == reports[3]
+    assert single._replace(duration_ms=0) == reports[3]._replace(duration_ms=0)
 
 
 @pytest.mark.parametrize(

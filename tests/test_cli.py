@@ -9,12 +9,14 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
 import deadending
 from deadending import cli
 from deadending.cli import main
+from deadending.games import store_size
 
 from depth import shallow
 
@@ -246,6 +248,28 @@ def test_malformed_dyadic_generators_are_usage_errors(spec):
     code, out, err = run_cli(argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "spec, count", [("dyadics:j40:v1", (1 << 41) + 1), ("ints:0..999999", 1_000_000)]
+)
+def test_generator_specs_over_the_member_budget_exit_3_before_building(spec, count):
+    argv = ["monoid", "--generators", spec, "--terms", "1", "--tests", "dead-ending:b1:k1"]
+    before = store_size()
+    started = time.monotonic()
+    code, out, err = run_cli(argv)
+    assert time.monotonic() - started < 1
+    assert code == 3 and out == ""
+    assert err.strip() == REFUSED.format(spec, count)
+    assert store_size() == before
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
+def test_verify_budget_must_be_a_finite_number(budget):
+    # a nan budget never compares as spent, so it would run every claim
+    code, out, err = run_cli(["verify", "all", f"--budget={budget}"])
+    assert code == 2 and out == ""
+    assert "budget must be a finite number" in err
 
 
 def test_verify_flag_defaults_are_the_bounds_defaults():

@@ -124,6 +124,40 @@ def test_number_literal_invariants():
     assert str(NumberLiteral(-3, 2)) == "-3/4"
 
 
+def test_number_literal_record_semantics():
+    a = NumberLiteral(3, 2)
+    assert a == NumberLiteral(3, 2) and hash(a) == hash(NumberLiteral(3, 2))
+    assert a == (3, 2) and hash(a) == hash((3, 2))  # a tuple of its fields
+    assert a != NumberLiteral(3, 3)
+    unsorted = [NumberLiteral(1, 1), NumberLiteral(-1, 0), NumberLiteral(1, 0)]
+    assert sorted(unsorted) == [NumberLiteral(-1, 0), NumberLiteral(1, 0), NumberLiteral(1, 1)]
+    assert repr(a) == "NumberLiteral(numerator=3, exponent=2)"
+    with pytest.raises(ValueError):
+        NumberLiteral(4, 2)
+    with pytest.raises(ValueError):
+        a._replace(numerator=4)
+    assert a._replace(numerator=5) == NumberLiteral(5, 2)
+    with pytest.raises(AttributeError):
+        a.numerator = 5
+    with pytest.raises(AttributeError):
+        a.note = "x"
+    assert a.value == Fraction(3, 4)
+    assert NumberLiteral.from_value(Fraction(3, 4)) == a
+    assert NumberLiteral.from_value(-6) == NumberLiteral(-6, 0)
+
+
+def test_dyadic_shift_arithmetic_matches_fractions():
+    # the integer arithmetic against the Fraction arithmetic it replaced
+    for numerator in range(-70, 71):
+        for exponent in range(8):
+            expected = NumberLiteral.from_value(Fraction(numerator, 1 << exponent))
+            assert NumberLiteral.reduced(numerator, exponent) == expected
+    literals = number_literals(6, 3, include_zero=True)
+    assert literals == sorted(literals, key=lambda lit: (lit.value, lit.exponent))
+    inside = [x for x in number_literals(3, 2) if abs(x.value) <= Fraction(3, 2)]
+    assert number_literals(3, Fraction(3, 2)) == inside
+
+
 def test_conjugate_examples():
     assert conjugate(ZERO) == ZERO
     assert conjugate(integer_game(2)) == integer_game(-2)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deadending import (
     ZERO,
@@ -31,7 +32,7 @@ from deadending import (
 )
 from deadending import notation
 from deadending.claims import Bounds
-from deadending.notation import ParseError, _Parser, parse_game, render
+from deadending.notation import ParseError, _Parser, parse_game, render, render_all
 from deadending.universes import gen_dead_ending
 
 from depth import shallow
@@ -179,6 +180,22 @@ def test_render_matches_tree_render_on_random_games(sa, sb):
     g, h = build(sa), build(sb)
     for x in (g, conjugate(g), add(g, h)):
         assert_render_matches_tree(x)
+
+
+def test_render_all_matches_render_on_b2_k2_ladders_and_sums():
+    members = gen_dead_ending(2, 2).members
+    games = members + Bounds().ladder_pack().members
+    games += tuple(add(members[i], h) for i in range(0, len(members), 5) for h in members[i:])
+    for depth in (6, 2):
+        assert render_all(games, depth) == [render(g, depth) for g in games]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(shapes, max_size=4))
+def test_render_all_matches_render_on_random_games(drawn):
+    games = [build(shape) for shape in drawn]
+    games += [conjugate(g) for g in games] + [add(g, h) for g, h in zip(games, games[1:])]
+    assert render_all(games) == [render(g) for g in games]
 
 
 def test_each_render_call_starts_from_an_empty_memo(monkeypatch):

@@ -1,14 +1,17 @@
 """The package surface: what `from deadending import *` binds, the README
-quickstart and command lines, run as written, and the functions the
-benchmark traces by name."""
+quickstart and command lines, run as written, the functions the benchmark
+traces by name, and the stdlib modules the command line never imports."""
 
 import ast
 import contextlib
 import importlib
 import io
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 import types
 
 import deadending
@@ -102,3 +105,46 @@ def test_benchmark_traces_only_public_functions_that_exist():
         assert not name.startswith("_"), traced
         # the tracer names a function by the module that defines it
         assert (fn.__module__, fn.__name__) == (module.__name__, name), traced
+
+
+# Each of these costs import time on every one-shot query, and none is needed:
+# records are named tuples or plain classes, and dyadic arithmetic is on ints.
+UNIMPORTED = ("dataclasses", "inspect", "fractions", "decimal")
+
+EVERY_SUBCOMMAND = [
+    ["outcome", "3/4 + -5/8", "--json"],
+    ["outcome", "{.|1}", "--normal"],
+    ["lengths", "-3/4"],
+    ["classify", "lambda(2)", "--json"],
+    ["equiv", "*+*", "0", "--tests", "dead-ending:b1:k2", "--json"],
+    ["compare", "1/2", "3/4", "--tests", "dead-ending:b1:k2"],
+    ["compare", "1/2", "3/4", "--closed-form", "--json"],
+    ["compare", "-1", "0", "--closed-form", "integers"],
+    ["universe", "numbers:j2:v1:t1", "--list", "--json"],
+    ["monoid", "--generators", "dyadics:j1:v1", "--terms", "2",
+     "--tests", "numbers:j1:v1:t2", "--json"],
+    ["monoid", "--generators", "ints:-1..1", "--terms", "2",
+     "--tests", "dead-end-closure:b1:k1:t1"],
+    ["verify", "all", "--b", "1", "--k", "1", "--t", "1", "--j", "1", "--v", "1",
+     "--eb", "1", "--json"],
+]
+
+
+def test_no_subcommand_imports_the_costly_stdlib_modules():
+    script = (
+        "import contextlib, io, sys\n"
+        "from deadending import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {EVERY_SUBCOMMAND!r}]\n"
+        f"print((codes, [m for m in {UNIMPORTED!r} if m in sys.modules]))\n"
+    )
+    package_root = str(pathlib.Path(deadending.__file__).parents[1])
+    path = filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    child = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert child.returncode == 0, child.stderr
+    codes, imported = ast.literal_eval(child.stdout)
+    assert codes == [0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0], child.stderr
+    assert imported == []

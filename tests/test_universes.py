@@ -35,6 +35,7 @@ from deadending.universes import (
     BudgetExceededError,
     ContextTable,
     Relation,
+    TestSet,
     Verdict,
     compare_integers_mod_dead_end_closure,
     compare_numbers_mod_E,
@@ -746,6 +747,24 @@ def test_compare_numbers_matches_mirrored_branches():
         for b in literals:
             expected = Verdict(mirrored_compare_numbers(a, b), "dead-ending", exact=True)
             assert compare_numbers_mod_E(a, b) == expected, (a, b)
+
+
+def test_verdict_and_test_set_record_semantics():
+    verdict = Verdict(Relation.REFUTED, "dead-ending:b2:k2", (3,))
+    twin = Verdict(Relation.REFUTED, "dead-ending:b2:k2", (3,), (), False)
+    assert verdict == twin and hash(verdict) == hash(twin)
+    assert verdict != Verdict(Relation.REFUTED, "dead-ending:b2:k2")
+    assert verdict != Verdict(Relation.REFUTED, "dead-ending:b2:k2", (3,), exact=True)
+    with pytest.raises(AttributeError):
+        verdict.exact = True
+    tests = TestSet("ladders", (ZERO, star()))
+    same = TestSet("ladders", (ZERO, star()))
+    assert tests == same and hash(tests) == hash(same)
+    assert tests != TestSet("other", (ZERO, star()))
+    assert tests.table is tests.table and tests.table is not same.table
+    assert repr(tests) == f"TestSet(descriptor='ladders', members=(0, {star()}))"
+    with pytest.raises(AttributeError):
+        tests.members = ()
 
 
 def test_compare_integers_examples():
