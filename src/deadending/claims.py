@@ -19,6 +19,7 @@ import functools
 import itertools
 import random
 import time
+from collections import namedtuple
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
@@ -80,78 +81,52 @@ from .universes import (
 )
 
 
-class Bounds:
+class Bounds(namedtuple("Bounds", "birthday options terms exponent magnitude scan_birthday "
+                        "struct_exponent seed", defaults=(3, 2, 3, 3, 2, 2, 6, 0))):
     """Scale knobs for the bounded checks.
 
     birthday/options/terms govern end and closure generation; exponent and
     magnitude bound number literals; scan_birthday bounds the dead-ending
     context universe used for equivalence scans, which grows so much faster
     than the others that it gets its own knob.  struct_exponent bounds the
-    purely arithmetic dyadic checks, which are nearly free.  The class
-    attributes are the defaults.  Equal bounds compare and hash by their
-    fields; each keeps its own test sets.
+    purely arithmetic dyadic checks, which are nearly free.  Bounds are
+    built by keyword; equal bounds compare and hash as tuples, and each
+    keeps its own test sets.
     """
 
-    birthday: int = 3
-    options: int = 2
-    terms: int = 3
-    exponent: int = 3
-    magnitude: int = 2
-    scan_birthday: int = 2
-    struct_exponent: int = 6
-    seed: int = 0
-    _FIELDS = ("birthday", "options", "terms", "exponent", "magnitude", "scan_birthday",
-               "struct_exponent", "seed")
-
-    def __init__(self, **bounds: int) -> None:
-        for name, value in bounds.items():  # the defaults are valid
-            if name not in self._FIELDS:
-                raise TypeError(f"unknown bound {name!r}")
+    def __new__(cls, **bounds: int) -> "Bounds":
+        self = super().__new__(cls, **bounds)  # a TypeError on an unknown name
+        for name, value in self._asdict().items():
             if name != "seed" and value < 0:
                 raise ValueError(f"bound {name} must be >= 0, got {value}")
-        self.__dict__.update(bounds)
+        return self
+
+    @classmethod
+    def _make(cls, fields) -> "Bounds":  # so that `_replace` validates too
+        return cls(**dict(zip(cls._fields, fields)))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
-    def __eq__(self, other):
-        return self.to_dict() == other.to_dict() if type(other) is Bounds else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self.to_dict().values()))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in self.to_dict().items())
-        return f"Bounds({fields})"
-
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self._FIELDS}
-
-    def dead_ending_tests(self) -> TestSet:
-        return self._dead_ending_tests
-
-    def closure_tests(self) -> TestSet:
-        return self._closure_tests
+        return self._asdict()
 
     def number_tests(self) -> TestSet:
         # not kept: one claim reads it, and its 6,479-context table would
         # outlive that claim
         return gen_number_closure(self.exponent, self.magnitude, self.terms)
 
-    def ladder_pack(self) -> TestSet:
-        return self._ladder_pack
-
     # built once per Bounds, so that the claims share their context tables
     @cached_property
-    def _dead_ending_tests(self) -> TestSet:
+    def dead_ending_tests(self) -> TestSet:
         return gen_dead_ending(self.scan_birthday, self.options)
 
     @cached_property
-    def _closure_tests(self) -> TestSet:
+    def closure_tests(self) -> TestSet:
         return gen_dead_end_closure(self.birthday, self.options, self.terms)
 
     @cached_property
-    def _ladder_pack(self) -> TestSet:
+    def ladder_pack(self) -> TestSet:
         size = max(8, 2 * (self.exponent + self.magnitude))
         return TestSet(f"ladders:r{size}:d{size}", tuple(witness_contexts(size, size)))
 
@@ -268,14 +243,14 @@ def _verify_refutation(g: GameId, h: GameId, x: GameId) -> bool:
 
 
 def _claim_follower_closed(bounds: Bounds, check: _Check) -> None:
-    for g in bounds.dead_ending_tests().members:
+    for g in bounds.dead_ending_tests.members:
         for f in sort_games(followers(g)):
             ok = is_dead_ending(f)
             check.run(ok, f, "non-dead-ending follower", of=lambda: render(g))
 
 
 def _claim_sum_closed(bounds: Bounds, check: _Check) -> None:
-    members = bounds.dead_ending_tests().members
+    members = bounds.dead_ending_tests.members
     for i, g in enumerate(members):
         for h in members[i:]:
             check.run(is_dead_ending(add(g, h)), add(g, h), "non-dead-ending sum")
@@ -307,7 +282,7 @@ def _claim_end_sum_outcome(bounds: Bounds, check: _Check) -> None:
 
 
 def _claim_ends_invertible(bounds: Bounds, check: _Check) -> None:
-    tests = bounds.dead_ending_tests()
+    tests = bounds.dead_ending_tests
     left_ends = [x for x in tests.members if is_left_end(x)]
     for g in gen_dead_ends(bounds.birthday, bounds.options):
         verdict = invert_check(g, tests)
@@ -329,7 +304,7 @@ def _claim_ends_invertible(bounds: Bounds, check: _Check) -> None:
 
 
 def _claim_int_total_order(bounds: Bounds, check: _Check) -> None:
-    tests = bounds.closure_tests()
+    tests = bounds.closure_tests
     span = range(-bounds.birthday, bounds.birthday + 1)
     for n in span:
         for m in span:
@@ -393,7 +368,7 @@ def _claim_int_incomparable(bounds: Bounds, check: _Check) -> None:
 
 
 def _claim_end_to_integer(bounds: Bounds, check: _Check) -> None:
-    tests = bounds.closure_tests()
+    tests = bounds.closure_tests
     for g in gen_dead_ends(bounds.birthday, bounds.options):
         literal = reduce_end_to_integer(g)
         verdict = equiv_mod(g, dyadic_game(literal), tests)
@@ -557,7 +532,7 @@ def _claim_number_collapses(bounds: Bounds, check: _Check) -> None:
 
 
 def _claim_number_plus_end(bounds: Bounds, check: _Check) -> None:
-    tests = bounds.dead_ending_tests()
+    tests = bounds.dead_ending_tests
     left_ends = [x for x in tests.members if is_left_end(x)]
     _, combos = number_multisets(bounds.exponent, bounds.magnitude, bounds.terms)
     for combo in combos:
@@ -576,7 +551,7 @@ def _claim_number_plus_end(bounds: Bounds, check: _Check) -> None:
 
 
 def _claim_numbers_invertible(bounds: Bounds, check: _Check) -> None:
-    tests = bounds.dead_ending_tests()
+    tests = bounds.dead_ending_tests
     for lit in number_literals(bounds.exponent, bounds.magnitude):
         verdict = invert_check(dyadic_game(lit), tests)
         check.run(
@@ -589,10 +564,11 @@ def _claim_numbers_invertible(bounds: Bounds, check: _Check) -> None:
 
 
 def _claim_geq_implies_normal(bounds: Bounds, check: _Check) -> None:
-    tests = bounds.dead_ending_tests()
-    pack = bounds.ladder_pack()
+    tests = bounds.dead_ending_tests
+    literals = number_literals(bounds.exponent, bounds.magnitude)  # before the pack
+    pack = bounds.ladder_pack
     rng = random.Random(bounds.seed)
-    pool = [dyadic_game(lit) for lit in number_literals(bounds.exponent, bounds.magnitude)]
+    pool = [dyadic_game(lit) for lit in literals]
     pool += list(tests.members[: 4 * len(pool)])
     pool = sort_games(set(pool))
     pairs = [
@@ -626,9 +602,9 @@ def _claim_geq_implies_normal(bounds: Bounds, check: _Check) -> None:
 
 
 def _claim_numbers_distinct(bounds: Bounds, check: _Check) -> None:
-    tests = bounds.dead_ending_tests()
-    pack = bounds.ladder_pack()
-    literals = number_literals(bounds.exponent, bounds.magnitude)
+    tests = bounds.dead_ending_tests
+    literals = number_literals(bounds.exponent, bounds.magnitude)  # before the pack
+    pack = bounds.ladder_pack
     routes = {"scan": 0, "ladder": 0, "composite": 0}
     for i, a in enumerate(literals):
         for b in literals[i + 1 :]:
@@ -671,9 +647,9 @@ def _claim_simplicity_length(bounds: Bounds, check: _Check) -> None:
 
 
 def _claim_number_order(bounds: Bounds, check: _Check) -> None:
-    tests = bounds.dead_ending_tests()
-    pack = bounds.ladder_pack()
-    literals = number_literals(bounds.exponent, bounds.magnitude)
+    tests = bounds.dead_ending_tests
+    literals = number_literals(bounds.exponent, bounds.magnitude)  # before the pack
+    pack = bounds.ladder_pack
     routes = {"scan": 0, "ladder": 0, "composite": 0}
     greater_checked = 0
     incomparable_checked = 0
@@ -752,7 +728,7 @@ def _zero_family_hypothesis(g: GameId) -> bool:
 
 
 def _claim_zero_family(bounds: Bounds, check: _Check) -> None:
-    tests = bounds.dead_ending_tests()
+    tests = bounds.dead_ending_tests
     candidates = set(tests.members)
     ends = gen_dead_ends(bounds.birthday, bounds.options)
     left_sources = [g for g in ends if is_left_end(g) and ZERO in right_options(g)]
@@ -777,7 +753,7 @@ def _claim_zero_family(bounds: Bounds, check: _Check) -> None:
 
 
 def _claim_star_squared(bounds: Bounds, check: _Check) -> None:
-    tests = bounds.dead_ending_tests()
+    tests = bounds.dead_ending_tests
     verdict = invert_check(star(), tests)
     found = bool(verdict.witnesses)
     check.search(found, f"scan_birthday={bounds.scan_birthday} too small: "

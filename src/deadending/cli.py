@@ -47,13 +47,14 @@ from .games import (
     is_left_end,
     is_right_end,
     left_length,
+    literal_count,
     number_literals,
     right_length,
+    within_budget,
 )
 from .notation import ParseError, parse_game, render, render_all
 from .outcomes import outcome_misere, outcome_normal
 from .universes import (
-    DEFAULT_MEMBER_BUDGET,
     BudgetExceededError,
     Relation,
     Verdict,
@@ -192,40 +193,30 @@ def _finish_verdict(out: _Emitter, verdict: Verdict) -> int:
     return _EXIT_REFUTED if refutes else _EXIT_OK
 
 
-def _cmd_equiv(ns: argparse.Namespace, out: _Emitter) -> int:
-    g = parse_game(ns.g)
-    h = parse_game(ns.h)
+def _cmd_scan(ns: argparse.Namespace, out: _Emitter, scan=equiv_mod) -> int:
+    """`equiv`, and `compare --tests` with scan `geq_mod`: g against h over the tests."""
+    g, h = parse_game(ns.g), parse_game(ns.h)
     tests = generate(ns.tests)
     out.bounds = {"tests": tests.descriptor, "contexts": len(tests)}
-    return _finish_verdict(out, equiv_mod(g, h, tests))
+    return _finish_verdict(out, scan(g, h, tests))
 
 
-def _closed_form(ns: argparse.Namespace) -> Verdict:
-    g = parse_game(ns.g)
-    h = parse_game(ns.h)
+def _cmd_compare(ns: argparse.Namespace, out: _Emitter) -> int:
+    if ns.closed_form is None:
+        if ns.tests is None:
+            raise ValueError("compare needs --tests DESC or --closed-form")
+        return _cmd_scan(ns, out, geq_mod)
     if ns.closed_form == "integers":
         read, compare = as_integer, compare_integers_mod_dead_end_closure
         needs = "integer closed form needs integer games"
     else:
         read, compare = as_number, compare_numbers_mod_E
         needs = "number closed form needs canonical numbers"
-    a, b = read(g), read(h)
+    a, b = read(parse_game(ns.g)), read(parse_game(ns.h))  # reading interns nothing
     for name, text, value in (("g", ns.g, a), ("h", ns.h, b)):
         if value is None:
             raise ValueError(f"{needs}, but {name} = {text!r} is not one")
-    return compare(a, b)
-
-
-def _cmd_compare(ns: argparse.Namespace, out: _Emitter) -> int:
-    if ns.closed_form is not None:
-        return _finish_verdict(out, _closed_form(ns))
-    if ns.tests is None:
-        raise ValueError("compare needs --tests DESC or --closed-form")
-    g = parse_game(ns.g)
-    h = parse_game(ns.h)
-    tests = generate(ns.tests)
-    out.bounds = {"tests": tests.descriptor, "contexts": len(tests)}
-    return _finish_verdict(out, geq_mod(g, h, tests))
+    return _finish_verdict(out, compare(a, b))
 
 
 def _cmd_universe(ns: argparse.Namespace, out: _Emitter) -> int:
@@ -244,14 +235,9 @@ def _cmd_universe(ns: argparse.Namespace, out: _Emitter) -> int:
 def _parse_generators(spec: str) -> list[GameId]:
     """The generator games of a spec; a range or literal list longer than the
     member budget is refused on its count, before any game is built."""
-
-    def counted(count: int) -> None:
-        if count > DEFAULT_MEMBER_BUDGET:
-            raise BudgetExceededError(spec, count, DEFAULT_MEMBER_BUDGET)
-
     if spec.startswith("ints:"):
         lo, _, hi = spec[len("ints:"):].partition("..")
-        counted(int(hi) - int(lo) + 1)
+        within_budget(spec, int(hi) - int(lo) + 1)
         return [integer_game(n) for n in range(int(lo), int(hi) + 1)]
     if spec.startswith("dyadics:"):
         fields = spec.split(":")
@@ -259,7 +245,7 @@ def _parse_generators(spec: str) -> list[GameId]:
             raise ValueError(f"malformed generator spec {spec!r}")
         exponent = int(fields[1][1:])
         magnitude = int(fields[2][1:])
-        counted((magnitude << (exponent + 1)) + 1)  # the literals, zero included
+        within_budget(spec, literal_count(exponent, magnitude) + 1)  # and zero
         return [
             dyadic_game(lit)
             for lit in number_literals(exponent, magnitude, include_zero=True)
@@ -349,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("g")
     p.add_argument("h")
     p.add_argument("--tests", required=True, metavar="DESC")
-    p.set_defaults(func=_cmd_equiv, inputs=("g", "h", "tests"))
+    p.set_defaults(func=_cmd_scan, inputs=("g", "h", "tests"))
 
     p = with_json(sub.add_parser("compare", help="order over a test set or closed form"))
     p.add_argument("g")
@@ -385,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = with_json(sub.add_parser("verify", help="run claim checks"))
     p.add_argument("claim", help="a claim id or 'all'")
     for flag, (name, text) in _BOUND_FLAGS.items():
-        p.add_argument(f"--{flag}", type=int, default=getattr(Bounds, name), help=text)
+        p.add_argument(f"--{flag}", type=int, default=Bounds._field_defaults[name], help=text)
     p.add_argument("--budget", type=_seconds, default=None, help="wall-clock seconds")
     p.set_defaults(func=_cmd_verify, inputs=("claim", "budget"))
 

@@ -24,6 +24,9 @@ call would have returned, so interning order and ids are the recursion's.
 The recognizers (`as_number`, `as_integer`, `as_lambda`) read the node table
 only: they call no constructor and never intern, so naming a position never
 grows the store.
+
+Test sets, literal lists and integer chains are counted before they are built;
+`within_budget`, the one owner of the member budget, refuses a count past it.
 """
 
 from __future__ import annotations
@@ -37,6 +40,27 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 GameId = int
+
+DEFAULT_MEMBER_BUDGET = 500_000
+
+
+class BudgetExceededError(RuntimeError):
+    """Raised when an enumeration would blow past its member budget."""
+
+    def __init__(self, descriptor: str, needed: int, allowed: int, hint: str = ""):
+        super().__init__(
+            f"test set {descriptor} needs {needed} members, which exceeds the "
+            f"budget of {allowed}"
+        )
+        self.descriptor, self.needed, self.allowed = descriptor, needed, allowed
+        self.hint = hint  # advice for a caller that can change the descriptor
+
+
+def within_budget(descriptor: str, needed: int, hint: str = "") -> None:
+    """Refuse an enumeration of more members than the budget, before it starts."""
+    if needed > DEFAULT_MEMBER_BUDGET:
+        raise BudgetExceededError(descriptor, needed, DEFAULT_MEMBER_BUDGET, hint)
+
 
 _lock = threading.RLock()
 
@@ -250,13 +274,22 @@ class NumberLiteral(NamedTuple("NumberLiteral", [("numerator", int), ("exponent"
         return f"{self.numerator}/{1 << self.exponent}"
 
 
+def literal_count(max_exponent: int, max_magnitude: Union[int, Fraction]) -> int:
+    """How many nonzero literals `number_literals` lists, without listing them:
+    one per nonzero multiple of 2**-max_exponent within the magnitude."""
+    return 2 * ((max_magnitude.numerator << max_exponent) // max_magnitude.denominator)
+
+
 def number_literals(
     max_exponent: int, max_magnitude: Union[int, Fraction], include_zero: bool = False
 ) -> list[NumberLiteral]:
-    """All literals with exponent <= max_exponent and |value| <= max_magnitude.
+    """All literals with exponent <= max_exponent and |value| <= max_magnitude,
+    refused on their count before any is listed.
 
     Deterministically ordered by (value, exponent).
     """
+    count = literal_count(max_exponent, max_magnitude) + include_zero
+    within_budget(f"literals:j{max_exponent}:v{max_magnitude}", count)
     found = []
     for exponent in range(max_exponent + 1):
         top = (max_magnitude.numerator << exponent) // max_magnitude.denominator
@@ -270,7 +303,6 @@ def number_literals(
     return found
 
 
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -282,6 +314,7 @@ def integer_game(n: int) -> GameId:
     """Canonical-form integer: n > 0 is {n-1 | }, n < 0 its mirror, 0 is { | }."""
     chain = _INTEGERS[n < 0]
     if abs(n) >= len(chain):
+        within_budget(f"ints:{min(n, 0)}..{max(n, 0)}", abs(n) + 1)
         with _lock:  # extend from the top: the order in which a loop from zero interns
             while len(chain) <= abs(n):
                 g = chain[-1]

@@ -27,11 +27,13 @@ from __future__ import annotations
 import itertools
 from enum import Enum
 from functools import cached_property, lru_cache
-from math import comb
+from math import comb, inf
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
-from .games import (
+from .games import (  # the budget names are re-exported
+    DEFAULT_MEMBER_BUDGET,
     ZERO,
+    BudgetExceededError,
     GameId,
     NumberLiteral,
     add,
@@ -49,31 +51,17 @@ from .games import (
     ladder_game,
     left_length,
     left_options,
+    literal_count,
     number_literals,
     options,
     right_length,
     right_options,
     sort_games,
+    within_budget,
 )
 from .outcomes import Outcome, _outcome_from_wins, outcome_misere
 
-DEFAULT_MEMBER_BUDGET = 500_000
-
 T = TypeVar("T")
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when generating a test set would blow past its member budget."""
-
-    def __init__(self, descriptor: str, needed: int, allowed: int, hint: str = ""):
-        super().__init__(
-            f"test set {descriptor} needs {needed} members, which exceeds the "
-            f"budget of {allowed}"
-        )
-        self.descriptor = descriptor
-        self.needed = needed
-        self.allowed = allowed
-        self.hint = hint  # advice for a caller that can change the descriptor
 
 
 class TestSet:
@@ -308,9 +296,8 @@ def gen_dead_ending(
     descriptor = f"dead-ending:b{birthday_cap}:k{option_cap}"
     if cap is not None:
         descriptor += f":cap{cap}"
-        if cap > DEFAULT_MEMBER_BUDGET:
-            raise BudgetExceededError(descriptor, cap, DEFAULT_MEMBER_BUDGET)
-    limit = cap if cap is not None else DEFAULT_MEMBER_BUDGET
+        within_budget(descriptor, cap)
+    limit = cap if cap is not None else inf  # uncapped: each day is counted first
     members: list[GameId] = [ZERO]
     seen = {ZERO}
     for _day in range(1, birthday_cap + 1):
@@ -326,11 +313,7 @@ def gen_dead_ending(
                 + _subset_count(dead_right, option_cap)
                 + 1
             )
-            if projected > DEFAULT_MEMBER_BUDGET:
-                raise BudgetExceededError(
-                    descriptor, projected, DEFAULT_MEMBER_BUDGET,
-                    "; pass a cap to take a deterministic prefix",
-                )
+            within_budget(descriptor, projected, "; pass a cap to take a deterministic prefix")
         for candidate in _day_candidates(pool, option_cap):
             if candidate in seen:
                 continue
@@ -357,9 +340,7 @@ def gen_dead_ends(birthday_cap: int, option_cap: int) -> list[GameId]:
     count = 1  # right ends so far: zero, then a day's option subsets of them
     for _day in range(birthday_cap):
         projected = 2 * count - 1 + 2 * _subset_count(count, option_cap)
-        if projected > DEFAULT_MEMBER_BUDGET:
-            descriptor = f"dead-ends:b{birthday_cap}:k{option_cap}"
-            raise BudgetExceededError(descriptor, projected, DEFAULT_MEMBER_BUDGET)
+        within_budget(f"dead-ends:b{birthday_cap}:k{option_cap}", projected)
         count = 1 + _subset_count(count, option_cap)
     rights: list[GameId] = [ZERO]
     ends = {ZERO}
@@ -386,9 +367,7 @@ def bounded_multisets(
     there are terms to draw, so a refused descriptor lists no item and
     builds no game.
     """
-    total = comb(count + max_terms, max_terms)
-    if total > DEFAULT_MEMBER_BUDGET:
-        raise BudgetExceededError(descriptor, total, DEFAULT_MEMBER_BUDGET)
+    within_budget(descriptor, comb(count + max_terms, max_terms))
     pool = items() if max_terms else ()
     return itertools.chain.from_iterable(
         itertools.combinations_with_replacement(pool, size)
@@ -405,7 +384,7 @@ def number_multisets(
     numbers = lambda: [
         (lit, dyadic_game(lit)) for lit in number_literals(max_exponent, max_magnitude)
     ]
-    count = max_magnitude << (max_exponent + 1)  # len(numbers())
+    count = literal_count(max_exponent, max_magnitude)  # len(numbers())
     return descriptor, bounded_multisets(descriptor, count, numbers, max_terms)
 
 
@@ -468,6 +447,7 @@ def witness_contexts(max_rungs: int = 8, max_drop: int = 6) -> list[GameId]:
     These live outside the small generated universes but are all dead-ending,
     so any refutation they produce is a genuine witness.
     """
+    within_budget(f"ladders:r{max_rungs}:d{max_drop}", 2 * max_rungs * max_drop)
     out: list[GameId] = []
     for rungs in range(1, max_rungs + 1):
         for drop in range(1, max_drop + 1):
@@ -634,6 +614,7 @@ class MonoidReport(NamedTuple):
         for cls in self.classes:
             games += cls.representative, *cls.members
         name = dict(zip(games, render_all(games)))
+        by_pair = lambda table: {f"{a},{b}": v for (a, b), v in sorted(table.items())}
         return {
             "tests": self.descriptor,
             "generators": [name[g] for g in self.generators],
@@ -647,16 +628,11 @@ class MonoidReport(NamedTuple):
                 }
                 for cls in self.classes
             ],
-            "product": {
-                f"{a},{b}": result for (a, b), result in sorted(self.product.items())
-            },
-            "product_verified": {
-                f"{a},{b}": flag
-                for (a, b), flag in sorted(self.product_verified.items())
-            },
+            "product": by_pair(self.product),
+            "product_verified": by_pair(self.product_verified),
             "identity_label": self.identity_label,
             "inverse_pairs": [list(pair) for pair in sorted(self.inverse_pairs)],
-            "order": {f"{a},{b}": rel for (a, b), rel in sorted(self.order.items())},
+            "order": by_pair(self.order),
             "consistent": self.consistent,
             "notes": self.notes,
         }

@@ -70,7 +70,7 @@ def test_composite_witness_is_conjugate_plus_context():
     # built-sum route finds
     g, h = dyadic_game(-2), dyadic_game(Fraction(3, 8))
     scan = gen_dead_ending(2, 2)
-    pack = Bounds().ladder_pack()
+    pack = Bounds().ladder_pack
     witness, route = _context_witness(g, h, _fails_geq, scan, pack)
     assert route == "composite"
     first = next(
@@ -87,10 +87,10 @@ def test_composite_witness_is_conjugate_plus_context():
 
 def test_bounds_build_scan_test_sets_once():
     bounds = Bounds(scan_birthday=1)
-    assert bounds.dead_ending_tests() is bounds.dead_ending_tests()
-    assert bounds.ladder_pack() is bounds.ladder_pack()
+    assert bounds.dead_ending_tests is bounds.dead_ending_tests
+    assert bounds.ladder_pack is bounds.ladder_pack
     twin = Bounds(scan_birthday=1)
-    assert twin.dead_ending_tests() is not bounds.dead_ending_tests()
+    assert twin.dead_ending_tests is not bounds.dead_ending_tests
     assert twin == bounds and hash(twin) == hash(bounds)
     assert bounds.to_dict() == {
         "birthday": 3,
@@ -120,6 +120,25 @@ def test_bounds_are_frozen_records():
         Bounds(terms=-1)
 
 
+def test_bounds_replace_validates_and_defaults_are_the_fields():
+    with pytest.raises(ValueError):
+        Bounds()._replace(terms=-1)
+    assert Bounds()._replace(terms=1) == Bounds(terms=1)
+    assert Bounds(**Bounds._field_defaults) == Bounds()
+
+
+@pytest.mark.parametrize(
+    "claim", ["thm:geq-implies-normal", "cor:numbers-distinct", "thm:number-order"]
+)
+def test_literal_claims_refuse_before_building_the_ladder_pack(claim):
+    # at j=60 the pack would hold 30,752 ladders; the literals are counted first
+    bounds = Bounds(exponent=60)
+    report = run_claim(claim, bounds)
+    assert report.status == "skipped"
+    assert report.details["reason"].startswith("test set literals:j60:v2 needs ")
+    assert "ladder_pack" not in vars(bounds)
+
+
 def test_closure_test_set_is_built_once_per_bounds(monkeypatch):
     built = []
     generate = claims.gen_dead_end_closure
@@ -130,7 +149,7 @@ def test_closure_test_set_is_built_once_per_bounds(monkeypatch):
 
     monkeypatch.setattr(claims, "gen_dead_end_closure", counted)
     bounds = Bounds(**SMALL.to_dict())  # equal to SMALL, with nothing built yet
-    assert bounds.closure_tests() is bounds.closure_tests()
+    assert bounds.closure_tests is bounds.closure_tests
     for claim in ("thm:int-total-order", "lemma:end-to-integer"):
         assert run_claim(claim, bounds).status == "pass"
     assert built == [(2, 2, 2)]

@@ -264,6 +264,37 @@ def test_generator_specs_over_the_member_budget_exit_3_before_building(spec, cou
     assert store_size() == before
 
 
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (["outcome", "99999999999"], "ints:0..99999999999"),
+        (["verify", "all", "--j", "60", "--json"], ":j60:"),
+        (["verify", "all", "--v", "100000", "--json"], ":v100000"),
+    ],
+)
+def test_unbounded_probes_exit_3_within_a_second_in_a_fresh_process(argv, bound):
+    # refused on a count: the integer chain, the literal lists, the number sums
+    started = time.monotonic()
+    child = run_child("deadending", argv, timeout=20)
+    assert time.monotonic() - started < 1, argv
+    assert child.returncode == 3, child.stderr
+    if argv[0] == "outcome":
+        assert bound in child.stderr
+        return
+    reports = json.loads(child.stdout)["result"]["reports"]
+    reasons = [r["details"]["reason"] for r in reports if r["status"] == "skipped"]
+    assert reasons and all(bound in reason for reason in reasons)
+    assert all(r["status"] in ("pass", "skipped") for r in reports)
+
+
+def test_a_refused_integer_builds_nothing():
+    before = store_size()
+    code, out, err = run_cli(["outcome", "99999999999"])
+    assert (code, out) == (3, "")
+    assert err.strip() == REFUSED.format("ints:0..99999999999", 10**11)
+    assert store_size() == before
+
+
 @pytest.mark.parametrize("budget", ["nan", "inf", "-inf"])
 def test_verify_budget_must_be_a_finite_number(budget):
     # a nan budget never compares as spent, so it would run every claim
@@ -361,7 +392,7 @@ def test_golden_files_from_a_fresh_process(name):
     assert data == json.loads((GOLDEN / name).read_text())
 
 
-def run_child(module, argv):
+def run_child(module, argv, timeout=None):
     """Run `python -m module argv` in a fresh process."""
     # the child imports this package even when it is not installed
     package_root = str(pathlib.Path(deadending.__file__).parents[1])
@@ -369,7 +400,7 @@ def run_child(module, argv):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run(
         [sys.executable, "-m", module, *argv],
-        capture_output=True, text=True, check=False, env=env,
+        capture_output=True, text=True, check=False, env=env, timeout=timeout,
     )
 
 

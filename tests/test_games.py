@@ -820,7 +820,7 @@ def test_integers_read_upwards_read_each_level_once(monkeypatch):
 
 
 def ladder_pack():
-    return Bounds().ladder_pack().members
+    return Bounds().ladder_pack.members
 
 
 def test_walks_match_recursive_on_dead_ending_b2_k2_and_ladders():

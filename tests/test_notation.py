@@ -165,7 +165,7 @@ def assert_render_matches_tree(g):
 def test_render_matches_tree_render_on_b2_k2_ladders_and_sums():
     members = gen_dead_ending(2, 2).members
     assert len(members) == 107
-    for g in members + Bounds().ladder_pack().members:
+    for g in members + Bounds().ladder_pack.members:
         assert_render_matches_tree(g)
     # every third member against itself and each later member: sums share
     # subgames widely, and the full 5,778 pairs would take seconds more
@@ -184,7 +184,7 @@ def test_render_matches_tree_render_on_random_games(sa, sb):
 
 def test_render_all_matches_render_on_b2_k2_ladders_and_sums():
     members = gen_dead_ending(2, 2).members
-    games = members + Bounds().ladder_pack().members
+    games = members + Bounds().ladder_pack.members
     games += tuple(add(members[i], h) for i in range(0, len(members), 5) for h in members[i:])
     for depth in (6, 2):
         assert render_all(games, depth) == [render(g, depth) for g in games]
@@ -325,7 +325,7 @@ WELL_FORMED = [
 def test_walk_parses_as_recursive_on_corpus_and_universes():
     members = gen_dead_ending(2, 2).members
     assert len(members) == 107
-    games = members + Bounds().ladder_pack().members
+    games = members + Bounds().ladder_pack.members
     texts = MALFORMED + WELL_FORMED + [render(g, depth=birthday(g) + 1) for g in games]
     texts += [f"{render(g)} + ~{render(h)}" for g, h in zip(games, games[1:])]
     for text in texts:

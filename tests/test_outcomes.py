@@ -166,7 +166,7 @@ def assert_solvers_match_single_search(games):
 def test_solvers_match_single_search_on_dead_ending_b2_k2():
     members = gen_dead_ending(2, 2).members
     sums = [add(g, h) for g in members[:30] for h in members[:30]]
-    ladders = Bounds().ladder_pack().members
+    ladders = Bounds().ladder_pack.members
     assert_solvers_match_single_search(members + tuple(sums) + ladders)
 
 

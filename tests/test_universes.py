@@ -193,6 +193,16 @@ def test_number_literal_count_has_a_closed_form():
         assert count == magnitude << (exponent + 1), (exponent, magnitude)
 
 
+def test_literal_count_counts_fraction_magnitudes_too():
+    from deadending.games import literal_count
+
+    for exponent, magnitude in itertools.product(
+        range(7), (0, 2, Fraction(1, 3), Fraction(3, 2), Fraction(7, 4))
+    ):
+        count = len(number_literals(exponent, magnitude))
+        assert literal_count(exponent, magnitude) == count, (exponent, magnitude)
+
+
 def test_bounded_multisets_count_before_listing():
     def unlisted():
         raise AssertionError("items listed")
@@ -205,6 +215,38 @@ def test_bounded_multisets_count_before_listing():
     assert ["".join(c) for c in combos] == [
         "", "a", "b", "c", "aa", "ab", "ac", "bb", "bc", "cc"
     ]
+
+
+def test_every_enumeration_refuses_under_a_lowered_member_budget(monkeypatch):
+    # the budget has one owner: lowering it in games reaches every count
+    from deadending import cli, games
+
+    assert BudgetExceededError is games.BudgetExceededError
+    gens = [integer_game(n) for n in (-1, 0, 1)]
+    beyond = max(map(len, games._INTEGERS)) + 3  # an integer no chain holds yet
+    monkeypatch.setattr(games, "DEFAULT_MEMBER_BUDGET", 3)
+    enumerations = {
+        "dead-ending universe": lambda: gen_dead_ending(2, 2),
+        "capped dead-ending prefix": lambda: gen_dead_ending(2, 2, cap=4),
+        "dead ends": lambda: gen_dead_ends(2, 2),
+        "dead-end sums": lambda: gen_dead_end_closure(1, 1, 2),
+        "number sums": lambda: gen_number_closure(1, 1, 1),
+        "monoid sums": lambda: quotient_monoid(gens, 2, TestSet("zero", (ZERO,))),
+        "ladders": lambda: witness_contexts(2, 1),
+        "literals": lambda: number_literals(1, 1),
+        "integer chain": lambda: integer_game(beyond),
+        "integer generators": lambda: cli._parse_generators("ints:0..3"),
+        "dyadic generators": lambda: cli._parse_generators("dyadics:j1:v1"),
+    }
+    for name, enumerate_ in enumerations.items():
+        with pytest.raises(BudgetExceededError) as err:
+            enumerate_()
+        assert err.value.needed > err.value.allowed == 3, name
+    before = store_size()
+    with pytest.raises(BudgetExceededError):
+        integer_game(-beyond)
+    assert store_size() == before
+    assert len(number_literals(0, 1)) == 2 and len(witness_contexts(1, 1)) == 2
 
 
 def test_gen_dead_ending_capped_prefix():
@@ -478,7 +520,7 @@ def test_invert_checks():
 # -- context tables: differentials against scans built on the pair search ----------
 
 SCAN = gen_dead_ending(2, 2)
-LADDERS = Bounds().ladder_pack()
+LADDERS = Bounds().ladder_pack
 
 
 def reference_equiv(g, h, tests):
