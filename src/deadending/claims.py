@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple, Optional
 from .games import (
     ZERO,
     GameId,
+    NumberLiteral,
     add,
     add_all,
     birthday,
@@ -47,6 +48,7 @@ from .games import (
     right_options,
     sort_games,
     star,
+    within_budget,
 )
 from .notation import render
 from .outcomes import (
@@ -229,6 +231,15 @@ def _context_witness(
         if i is not None:
             return add(h_conjugate, tests.members[i]), "composite"
     return None
+
+
+def _paired_literals(bounds: Bounds) -> list[NumberLiteral]:
+    """The bounds' literals, refused when their n(n-1)/2 pairs exceed the
+    member budget: a pair loop over them is counted before it starts."""
+    literals = number_literals(bounds.exponent, bounds.magnitude)
+    n = len(literals)
+    within_budget(f"literal pairs:j{bounds.exponent}:v{bounds.magnitude}", n * (n - 1) // 2)
+    return literals
 
 
 def _verify_refutation(g: GameId, h: GameId, x: GameId) -> bool:
@@ -566,6 +577,8 @@ def _claim_numbers_invertible(bounds: Bounds, check: _Check) -> None:
 def _claim_geq_implies_normal(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests
     literals = number_literals(bounds.exponent, bounds.magnitude)  # before the pack
+    size = len(literals) + min(4 * len(literals), len(tests))  # the pool, at most
+    within_budget(f"pool pairs:j{bounds.exponent}:v{bounds.magnitude}", size * (size - 1))
     pack = bounds.ladder_pack
     rng = random.Random(bounds.seed)
     pool = [dyadic_game(lit) for lit in literals]
@@ -603,7 +616,7 @@ def _claim_geq_implies_normal(bounds: Bounds, check: _Check) -> None:
 
 def _claim_numbers_distinct(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests
-    literals = number_literals(bounds.exponent, bounds.magnitude)  # before the pack
+    literals = _paired_literals(bounds)  # before the pack
     pack = bounds.ladder_pack
     routes = {"scan": 0, "ladder": 0, "composite": 0}
     for i, a in enumerate(literals):
@@ -648,7 +661,7 @@ def _claim_simplicity_length(bounds: Bounds, check: _Check) -> None:
 
 def _claim_number_order(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests
-    literals = number_literals(bounds.exponent, bounds.magnitude)  # before the pack
+    literals = _paired_literals(bounds)  # before the pack
     pack = bounds.ladder_pack
     routes = {"scan": 0, "ladder": 0, "composite": 0}
     greater_checked = 0

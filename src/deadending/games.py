@@ -20,6 +20,8 @@ value back, and the driver keeps waiting steps on an explicit stack and does
 the memo lookup and store.  So depth (n for the integer n or lambda(n)) costs
 time and memory, not interpreter frames.  A step resumes where the recursive
 call would have returned, so interning order and ids are the recursion's.
+A memo over pairs of games (`add`'s, and the pair search's in `outcomes`)
+keys the pair g <= h by one packed int, g << ID_BITS | h, not by a tuple.
 
 The recognizers (`as_number`, `as_integer`, `as_lambda`) read the node table
 only: they call no constructor and never intern, so naming a position never
@@ -48,8 +50,11 @@ class BudgetExceededError(RuntimeError):
     """Raised when an enumeration would blow past its member budget."""
 
     def __init__(self, descriptor: str, needed: int, allowed: int, hint: str = ""):
+        # a count past 2**64 is written by its size: past 4,300 digits, str()
+        # of an int raises
+        count = needed if needed < 1 << 64 else f"at least 2**{needed.bit_length() - 1}"
         super().__init__(
-            f"test set {descriptor} needs {needed} members, which exceeds the "
+            f"test set {descriptor} needs {count} members, which exceeds the "
             f"budget of {allowed}"
         )
         self.descriptor, self.needed, self.allowed = descriptor, needed, allowed
@@ -349,23 +354,32 @@ def conjugate(g: GameId) -> GameId:
     return gid
 
 
+# The memos of pairs key the pair g <= h by one int, g << ID_BITS | h, which
+# is smaller than a tuple and never tracked by the cyclic GC.  An id takes
+# ID_BITS bits: 2**32 nodes would need hundreds of GB, so this is a bound of
+# the store, not a runtime check.
+ID_BITS = 32
+ID_MASK = (1 << ID_BITS) - 1
+
+
 def add(g: GameId, h: GameId) -> GameId:
     """Disjunctive sum: a move in the sum is a move in exactly one component."""
     if g > h:
         g, h = h, g
-    return h if g == ZERO else _sum((g, h))
+    return h if g == ZERO else _sum(g << ID_BITS | h)
 
 
 @_driven
-def _sum(key: tuple[GameId, GameId]) -> GameId:
-    g, h = key  # ZERO < g <= h, and every option id is below its game's
+def _sum(key: int) -> GameId:
+    g, h = key >> ID_BITS, key & ID_MASK  # ZERO < g <= h
     sides = []
     for g_opts, h_opts in zip(_nodes[g], _nodes[h]):
         found = set()
-        for x in g_opts:
-            found.add(h if x == ZERO else (yield x, h))
+        for x in g_opts:  # every option id is below its game's, so x < h
+            found.add(h if x == ZERO else (yield x << ID_BITS | h))
         for x in h_opts:
-            found.add(g if x == ZERO else (yield (g, x) if g < x else (x, g)))
+            pair = g << ID_BITS | x if g < x else x << ID_BITS | g
+            found.add(g if x == ZERO else (yield pair))
         sides.append(found)
     return intern(*sides)
 
@@ -381,6 +395,7 @@ def ladder_game(rungs: int, drop: int) -> GameId:
     """{0 | {0 | ... {0 | -drop}}} with the given number of rungs."""
     if rungs < 1 or drop < 1:
         raise ValueError("rungs and drop must be >= 1")
+    within_budget(f"ladder:r{rungs}:d{drop}", rungs)
     g = integer_game(-drop)
     for _ in range(rungs):
         g = intern((ZERO,), (g,))
@@ -438,8 +453,14 @@ def sort_games(games: Iterable[GameId]) -> list[GameId]:
     depth = {g: birthday(g) for g in _closure(games)}
     label, order, keys, gap = {}, [], [], 1 << 32  # order and keys: placed so far
 
-    def key(g):  # the sorted labels of g's options, one tuple a side
-        return tuple(tuple(sorted([label[x] for x in side])) for side in _nodes[g])
+    # a key is the sorted Left labels, 0, then the sorted Right labels: labels
+    # are >= 1, so a side that is a prefix of another sorts first
+    def key(g):
+        left, right = _nodes[g]
+        k = sorted(map(label.__getitem__, left))
+        k.append(0)
+        k += sorted(map(label.__getitem__, right))
+        return k
 
     for g in sorted(depth, key=depth.__getitem__):
         k = key(g)

@@ -3,18 +3,19 @@
 The misere solver treats a player with no move as the winner; the normal
 solver treats them as the loser.  Both are one exact memoized search over
 the unordered component pair of a sum g + h, so that it never interns the
-sum: the memo key is (smaller id, larger id, side to move) and a move
-replaces one component with one of its options.  A single game g is the pair
-(ZERO, g).  The search is a step of the engine's walk (`games._walk`), so it
-runs on an explicit stack at any depth, and it stops at the first losing
-reply.  It takes the terminal rule as a parameter and keeps one memo per
-rule, shared by single games and pairs: `outcome_misere` and
-`outcome_misere_sum` use the misere rule, `outcome_normal` and `normal_geq`
-the normal one.  Scans of a game against a whole test set read the test
-set's outcome rows (`universes.ContextTable`) instead; the pair search is
-their independent re-check.  The closed forms compute outcomes of dead-end
-sums and number sums arithmetically and never fall back to the solver;
-agreement between the two routes is checked by the verification harness.
+sum: the memo key is one packed int, (g << ID_BITS | h) << 1 | left to move,
+with g the smaller id (`games` states the id field), and a move replaces one
+component with one of its options.  A single game g is the pair (ZERO, g).
+The search is a step of the engine's walk (`games._walk`), so it runs on an
+explicit stack at any depth, and it stops at the first losing reply.  It
+takes the terminal rule as a parameter and keeps one memo per rule, shared
+by single games and pairs: `outcome_misere` and `outcome_misere_sum` use the
+misere rule, `outcome_normal` and `normal_geq` the normal one.  Scans of a
+game against a whole test set read the test set's outcome rows
+(`universes.ContextTable`) instead; the pair search is their independent
+re-check.  The closed forms compute outcomes of dead-end sums and number
+sums arithmetically and never fall back to the solver; agreement between the
+two routes is checked by the verification harness.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from functools import partial
 from typing import Iterable
 
 from .games import (
+    ID_BITS,
+    ID_MASK,
     ZERO,
     GameId,
     NumberLiteral,
@@ -64,17 +67,20 @@ def conjugate_outcome(o: Outcome) -> Outcome:
     return _CONJUGATE[o]
 
 
-def _pair_wins(no_move_wins: bool, key: tuple[GameId, GameId, bool]):
-    """Step: does the player to move win g + h?  Key (g, h, left to move), g <= h."""
-    g, h, left_to_move = key
+def _pair_wins(no_move_wins: bool, key: int):
+    """Step: does the player to move win g + h?  Key (g << ID_BITS | h) << 1 |
+    left to move, with g <= h."""
+    left_to_move = key & 1
+    g, h = key >> ID_BITS + 1, key >> 1 & ID_MASK
     mover_options = left_options if left_to_move else right_options
     g_opts, h_opts = mover_options(g), mover_options(h)
-    mover = not left_to_move
-    for o in g_opts:
-        if not (yield (o, h, mover) if o < h else (h, o, mover)):
+    mover = left_to_move ^ 1
+    for o in g_opts:  # every option id is below its game's, so o < h
+        if not (yield (o << ID_BITS | h) << 1 | mover):
             return True
     for o in h_opts:
-        if not (yield (g, o, mover) if g < o else (o, g, mover)):
+        pair = g << ID_BITS | o if g < o else o << ID_BITS | g
+        if not (yield pair << 1 | mover):
             return True
     return no_move_wins and not g_opts and not h_opts
 
@@ -93,7 +99,8 @@ def _outcome_from_wins(left_wins: bool, right_wins: bool) -> Outcome:
 def _outcome(g: GameId, h: GameId, rule) -> Outcome:
     if g > h:
         g, h = h, g
-    return _outcome_from_wins(rule((g, h, True)), rule((g, h, False)))
+    key = (g << ID_BITS | h) << 1
+    return _outcome_from_wins(rule(key | 1), rule(key))
 
 
 def outcome_misere(g: GameId) -> Outcome:
@@ -117,7 +124,7 @@ def normal_geq(g: GameId, h: GameId) -> bool:
     Searched over the pair (g, conjugate(h)), so the sum is never built.
     """
     h = conjugate(h)
-    return not _NORMAL((g, h, False) if g <= h else (h, g, False))
+    return not _NORMAL((g << ID_BITS | h if g <= h else h << ID_BITS | g) << 1)
 
 
 def dead_end_sum_outcome(g: GameId, h: GameId) -> Outcome:

@@ -134,11 +134,12 @@ class ContextTable:
         self._member_mask = int.from_bytes(b"\x01" * len(members), "little")
         self._no_left = int.from_bytes(bytes(not lo for lo in lefts), "little")
         self._no_right = int.from_bytes(bytes(not ro for ro in rights), "little")
-        # options before the contexts that reach them
-        self._steps = [
-            (i, lefts[i], rights[i])
-            for i in sorted(range(size), key=lambda i: birthday(contexts[i]))
-        ]
+        # options before the contexts that reach them; three flat tuples,
+        # zipped by the pass, keep no tuple per context
+        order = sorted(range(size), key=lambda i: birthday(contexts[i]))
+        self._order = tuple(order)
+        self._lefts = tuple([lefts[i] for i in order])
+        self._rights = tuple([rights[i] for i in order])
         self._rows: dict[GameId, Row] = {}
 
     def row(self, g: GameId) -> Row:
@@ -188,7 +189,7 @@ class ContextTable:
         wl = bytearray(seed_left.to_bytes(self._size, "little"))
         wr = bytearray(seed_right.to_bytes(self._size, "little"))
         full = (1 << len(games)) - 1
-        for i, lo, ro in self._steps:
+        for i, lo, ro in zip(self._order, self._lefts, self._rights):
             if wl[i] != full:
                 lost = full  # the games whose every move X^L wins for Right
                 for j in lo:

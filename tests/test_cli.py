@@ -270,10 +270,18 @@ def test_generator_specs_over_the_member_budget_exit_3_before_building(spec, cou
         (["outcome", "99999999999"], "ints:0..99999999999"),
         (["verify", "all", "--j", "60", "--json"], ":j60:"),
         (["verify", "all", "--v", "100000", "--json"], ":v100000"),
+        (["outcome", "lambda(99999999999)"], "ladder:r99999999999:d1"),
+        # a count of more than 4,300 digits is written by its size
+        (["verify", "all", "--j", "1000000", "--json"], ":j1000000:"),
+        # 262,144 literals fit the budget, their pairs do not
+        (["verify", "cor:numbers-distinct", "--j", "16", "--json"], "literal pairs:j16:v2"),
+        (["verify", "thm:number-order", "--j", "16", "--json"], "literal pairs:j16:v2"),
+        (["verify", "thm:geq-implies-normal", "--j", "16", "--json"], "pool pairs:j16:v2"),
     ],
 )
 def test_unbounded_probes_exit_3_within_a_second_in_a_fresh_process(argv, bound):
-    # refused on a count: the integer chain, the literal lists, the number sums
+    # refused on a count: the integer chain, the ladder, the literal lists and
+    # their pairs, the number sums
     started = time.monotonic()
     child = run_child("deadending", argv, timeout=20)
     assert time.monotonic() - started < 1, argv

@@ -2,6 +2,7 @@
 
 import itertools
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from deadending import (
     right_options,
     star,
 )
+from deadending import games, outcomes
 from deadending.claims import Bounds
 from deadending.universes import gen_dead_ending, gen_dead_ends, witness_contexts
 
@@ -98,6 +100,65 @@ def test_pair_search_matches_built_sum_on_scan_contexts():
     for i, g in enumerate(members):
         for x in contexts[i:]:
             assert outcome_misere_sum(g, x) == outcome_misere(add(g, x)), (g, x)
+
+
+# The pair search keyed by a (smaller id, larger id, left to move) tuple, the
+# route the packed int key replaced, kept as the reference.
+
+
+def tuple_pair_wins(no_move_wins, key):
+    g, h, left_to_move = key
+    mover_options = left_options if left_to_move else right_options
+    g_opts, h_opts = mover_options(g), mover_options(h)
+    mover = not left_to_move
+    for o in g_opts:
+        if not (yield (o, h, mover) if o < h else (h, o, mover)):
+            return True
+    for o in h_opts:
+        if not (yield (g, o, mover) if g < o else (o, g, mover)):
+            return True
+    return no_move_wins and not g_opts and not h_opts
+
+
+class TupleKeyedSearch:
+    """The reference search under one terminal rule, with a memo of its own."""
+
+    def __init__(self, no_move_wins):
+        self.step = partial(tuple_pair_wins, no_move_wins)
+        self.memo = {}
+
+    def outcome(self, g, h):
+        if g > h:
+            g, h = h, g
+        wins = [
+            self.memo[key] if key in self.memo else games._walk(self.step, key, self.memo)
+            for key in ((g, h, True), (g, h, False))
+        ]
+        return outcomes._outcome_from_wins(*wins)
+
+
+def assert_packed_search_matches_tuple_keyed(pairs):
+    for rule, no_move_wins in ((outcomes._MISERE, True), (outcomes._NORMAL, False)):
+        reference = TupleKeyedSearch(no_move_wins)
+        for g, h in pairs:
+            assert outcomes._outcome(g, h, rule) == reference.outcome(g, h), (g, h)
+        # every position the reference searched sits under its packed key
+        for (g, h, left_to_move), wins in reference.memo.items():
+            assert g <= h
+            packed = (g << games.ID_BITS | h) << 1 | left_to_move
+            assert rule.memo[packed] is wins, (g, h, left_to_move)
+
+
+def test_packed_pair_search_matches_tuple_keyed_on_b2_k2_pairs():
+    members = gen_dead_ending(2, 2).members
+    assert_packed_search_matches_tuple_keyed(itertools.combinations_with_replacement(members, 2))
+
+
+@settings(max_examples=200)
+@given(shapes, shapes)
+def test_packed_pair_search_matches_tuple_keyed_on_random_pairs(sa, sb):
+    g, h = build(sa), build(sb)
+    assert_packed_search_matches_tuple_keyed([(g, h), (h, g), (g, g), (ZERO, g)])
 
 
 def built_normal_geq(g, h):

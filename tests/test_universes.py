@@ -30,7 +30,7 @@ from deadending import (
 )
 from deadending import universes
 from deadending.claims import Bounds
-from deadending.games import followers, sort_games, store_size
+from deadending.games import followers, sort_games, store_size, within_budget
 from deadending.universes import (
     BudgetExceededError,
     ContextTable,
@@ -233,6 +233,7 @@ def test_every_enumeration_refuses_under_a_lowered_member_budget(monkeypatch):
         "number sums": lambda: gen_number_closure(1, 1, 1),
         "monoid sums": lambda: quotient_monoid(gens, 2, TestSet("zero", (ZERO,))),
         "ladders": lambda: witness_contexts(2, 1),
+        "ladder rungs": lambda: ladder_game(4, 1),
         "literals": lambda: number_literals(1, 1),
         "integer chain": lambda: integer_game(beyond),
         "integer generators": lambda: cli._parse_generators("ints:0..3"),
@@ -247,6 +248,20 @@ def test_every_enumeration_refuses_under_a_lowered_member_budget(monkeypatch):
         integer_game(-beyond)
     assert store_size() == before
     assert len(number_literals(0, 1)) == 2 and len(witness_contexts(1, 1)) == 2
+
+
+def test_a_count_past_the_digit_limit_is_written_by_its_size():
+    # str() of an int past 4,300 digits raises ValueError, which would turn a
+    # refusal (exit 3) into an error (exit 2)
+    with pytest.raises(BudgetExceededError) as err:
+        within_budget("x", 10**5000)
+    assert err.value.needed == 10**5000
+    assert str(err.value) == (
+        "test set x needs at least 2**16609 members, which exceeds the budget of 500000"
+    )
+    with pytest.raises(BudgetExceededError) as err:
+        within_budget("x", (1 << 64) - 1)
+    assert f"needs {(1 << 64) - 1} members" in str(err.value)
 
 
 def test_gen_dead_ending_capped_prefix():
