@@ -28,7 +28,6 @@ from .games import (
     GameId,
     NumberLiteral,
     add,
-    add_all,
     birthday,
     conjugate,
     dyadic_game,
@@ -62,6 +61,7 @@ from .outcomes import (
 )
 from .universes import (
     BudgetExceededError,
+    ContextTable,
     Relation,
     Row,
     TestSet,
@@ -83,6 +83,16 @@ from .universes import (
 )
 
 
+class NumberSums(NamedTuple):
+    """The multisets of a numbers test set's literals, in build order, each
+    with the index of its sum in `table`, whose contexts start with the
+    distinct sums in the order they were first built."""
+
+    descriptor: str
+    cases: list[tuple[tuple[NumberLiteral, ...], int]]
+    table: ContextTable
+
+
 class Bounds(namedtuple("Bounds", "birthday options terms exponent magnitude scan_birthday "
                         "struct_exponent seed", defaults=(3, 2, 3, 3, 2, 2, 6, 0))):
     """Scale knobs for the bounded checks.
@@ -93,7 +103,7 @@ class Bounds(namedtuple("Bounds", "birthday options terms exponent magnitude sca
     than the others that it gets its own knob.  struct_exponent bounds the
     purely arithmetic dyadic checks, which are nearly free.  Bounds are
     built by keyword; equal bounds compare and hash as tuples, and each
-    keeps its own test sets.
+    keeps its own test sets and number sums.
     """
 
     def __new__(cls, **bounds: int) -> "Bounds":
@@ -113,12 +123,14 @@ class Bounds(namedtuple("Bounds", "birthday options terms exponent magnitude sca
     def to_dict(self) -> dict:
         return self._asdict()
 
-    def number_tests(self) -> TestSet:
-        # not kept: one claim reads it, and its 6,479-context table would
-        # outlive that claim
-        return gen_number_closure(self.exponent, self.magnitude, self.terms)
-
     # built once per Bounds, so that the claims share their context tables
+    @cached_property
+    def number_sums(self) -> NumberSums:
+        descriptor, sums = number_multisets(self.exponent, self.magnitude, self.terms)
+        index: dict[GameId, int] = {}
+        cases = [(literals, index.setdefault(s, len(index))) for literals, s in sums]
+        return NumberSums(descriptor, cases, ContextTable(tuple(index)))
+
     @cached_property
     def dead_ending_tests(self) -> TestSet:
         return gen_dead_ending(self.scan_birthday, self.options)
@@ -264,7 +276,8 @@ def _claim_sum_closed(bounds: Bounds, check: _Check) -> None:
     members = bounds.dead_ending_tests.members
     for i, g in enumerate(members):
         for h in members[i:]:
-            check.run(is_dead_ending(add(g, h)), add(g, h), "non-dead-ending sum")
+            total = add(g, h)
+            check.run(is_dead_ending(total), total, "non-dead-ending sum")
 
 
 def _claim_dead_end_outcome(bounds: Bounds, check: _Check) -> None:
@@ -510,50 +523,48 @@ def _claim_right_option_length(bounds: Bounds, check: _Check) -> None:
 
 
 def _claim_number_sum_outcome(bounds: Bounds, check: _Check) -> None:
-    _, combos = number_multisets(bounds.exponent, bounds.magnitude, bounds.terms)
-    for combo in combos:
-        literals = [lit for lit, _ in combo]
-        built = add_all(g for _, g in combo)
+    sums = bounds.number_sums
+    alone = sums.table.outcomes(ZERO)  # zero's row: each sum's own outcome
+    for literals, i in sums.cases:
         check.run(
-            outcome_misere(built) == number_sum_outcome(literals),
-            built,
+            alone[i] == number_sum_outcome(literals),
+            sums.table.contexts[i],
             "solver disagrees with length rule",
             terms=lambda: " + ".join(str(l) for l in literals) or "0",
         )
 
 
 def _claim_number_collapses(bounds: Bounds, check: _Check) -> None:
-    tests = bounds.number_tests()
+    sums = bounds.number_sums
     # each literal's game, then its length integer's: the order that fixes ids
     pairs = [
         (lit, dyadic_game(lit), integer_game(lit.signed_length()))
         for lit in number_literals(bounds.exponent, bounds.magnitude)
     ]
-    tests.table.solve(game for _, g, n in pairs for game in (g, n))
+    sums.table.solve(game for _, g, n in pairs for game in (g, n))
     for lit, g, n in pairs:
-        verdict = equiv_mod(g, n, tests)
         check.run(
-            not verdict.witnesses,
+            sums.table.first(g, n, _differ) is None,
             g,
             "number distinguished from its length integer over numbers",
             literal=str(lit),
             integer=lit.signed_length(),
         )
-    check.details["tests"] = tests.descriptor
+    check.details["tests"] = sums.descriptor
 
 
 def _claim_number_plus_end(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests
     left_ends = [x for x in tests.members if is_left_end(x)]
-    _, combos = number_multisets(bounds.exponent, bounds.magnitude, bounds.terms)
-    for combo in combos:
-        literals = [lit for lit, _ in combo]
+    sums = bounds.number_sums
+    sums.table.solve(left_ends)
+    rows = [sums.table.outcomes(x) for x in left_ends]  # x plus every sum
+    for literals, i in sums.cases:
         if number_sum_outcome(literals) != Outcome.L:  # the empty sum is N
             continue
-        built = add_all(g for _, g in combo)
-        for x in left_ends:
+        for x, row in zip(left_ends, rows):
             check.run(
-                outcome_misere_sum(built, x) == Outcome.L,
+                row[i] == Outcome.L,
                 x,
                 "left end spoils a Left-won number sum",
                 terms=lambda: " + ".join(str(l) for l in literals),
@@ -561,9 +572,21 @@ def _claim_number_plus_end(bounds: Bounds, check: _Check) -> None:
     check.details["left_ends"] = len(left_ends)
 
 
+def _literal_birthday(lit: NumberLiteral) -> int:
+    """Birthday of the canonical number: |n| for an integer n, and
+    floor(|m| / 2^j) + j + 1 for m / 2^j with j >= 1."""
+    magnitude = abs(lit.numerator)
+    return magnitude if lit.is_integer else (magnitude >> lit.exponent) + lit.exponent + 1
+
+
 def _claim_numbers_invertible(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests
-    for lit in number_literals(bounds.exponent, bounds.magnitude):
+    literals = number_literals(bounds.exponent, bounds.magnitude)
+    # a number of birthday b has at most b + 1 positions, so g + conj(g) has
+    # at most (b + 1)**2: counted before any sum is built
+    positions = sum((_literal_birthday(lit) + 1) ** 2 for lit in literals)
+    within_budget(f"inverse sums:j{bounds.exponent}:v{bounds.magnitude}", positions)
+    for lit in literals:
         verdict = invert_check(dyadic_game(lit), tests)
         check.run(
             not verdict.witnesses,

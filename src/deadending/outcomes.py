@@ -12,7 +12,9 @@ takes the terminal rule as a parameter and keeps one memo per rule, shared
 by single games and pairs: `outcome_misere` and `outcome_misere_sum` use the
 misere rule, `outcome_normal` and `normal_geq` the normal one.  Scans of a
 game against a whole test set read the test set's outcome rows
-(`universes.ContextTable`) instead; the pair search is their independent
+(`universes.ContextTable`) instead, and so do the number-sum claims: zero's
+row over a table of the sums gives each sum's outcome, and a left end's row
+its outcome beside each sum.  The pair search is the rows' independent
 re-check.  The closed forms compute outcomes of dead-end sums and number
 sums arithmetically and never fall back to the solver; agreement between the
 two routes is checked by the verification harness.

@@ -12,14 +12,18 @@ basis is the universe it holds in.
 Every scan reads outcome rows from the test set's ContextTable, built on
 first use.  A game's row holds, for each context X of the table, whether
 Left and whether Right wins g + X moving first; it is computed from the rows
-of g's options by a pass over the contexts in birthday order, so no sum is
-built or searched.  A pass solves up to eight games at once, one bit of each
-context byte per game, so callers that need many rows (the monoid quotient,
-the number-collapse claim) request them together.  A scan is then a bit
-predicate on two rows, and the first set byte names the first witnessing
-member.  Two games are indistinguishable over the test set exactly when
-their rows agree on the members, so the monoid quotient partitions sums by
-that signature.
+of g's options by a pass over the contexts in id order (an option's id is
+below its game's), so no sum is built or searched.  A pass solves up to
+eight games at once, one bit of each context byte per game, so callers that
+need many rows (the monoid quotient, the number-collapse claim) request them
+together.  A scan is then a bit predicate on two rows, and the first set
+byte names the first witnessing member; a caller that reads most of a row
+decodes it whole (`ContextTable.outcomes`).  Two games are indistinguishable
+over the test set exactly when their rows agree on the members, so the
+monoid quotient partitions sums by that signature.
+
+Bounded sums are built by one builder, `bounded_sums`: each multiset's sum
+is one `add` onto the sum of its prefix, listed one size earlier.
 """
 
 from __future__ import annotations
@@ -37,9 +41,7 @@ from .games import (  # the budget names are re-exported
     GameId,
     NumberLiteral,
     add,
-    add_all,
     as_number,
-    birthday,
     conjugate,
     dyadic_game,
     integer_game,
@@ -105,6 +107,9 @@ class TestSet:
 # context X of a table, one byte per context, context i in byte i
 Row = tuple[int, int]
 
+# a context's outcome by its code 2 * (Left wins moving first) + (Right does)
+_BY_WINS = tuple(_outcome_from_wins(bool(code & 2), bool(code & 1)) for code in range(4))
+
 
 class ContextTable:
     """Misere outcome rows of games against a fixed set of contexts.
@@ -134,9 +139,9 @@ class ContextTable:
         self._member_mask = int.from_bytes(b"\x01" * len(members), "little")
         self._no_left = int.from_bytes(bytes(not lo for lo in lefts), "little")
         self._no_right = int.from_bytes(bytes(not ro for ro in rights), "little")
-        # options before the contexts that reach them; three flat tuples,
-        # zipped by the pass, keep no tuple per context
-        order = sorted(range(size), key=lambda i: birthday(contexts[i]))
+        # options before the contexts that reach them, as ids are; three flat
+        # tuples, zipped by the pass, keep no tuple per context
+        order = sorted(range(size), key=contexts.__getitem__)
         self._order = tuple(order)
         self._lefts = tuple([lefts[i] for i in order])
         self._rights = tuple([rights[i] for i in order])
@@ -237,6 +242,13 @@ class ContextTable:
         """Misere outcome of g plus context i."""
         left, right = self.row(g)
         return _outcome_from_wins(bool(left >> 8 * i & 1), bool(right >> 8 * i & 1))
+
+    def outcomes(self, g: GameId) -> list[Outcome]:
+        """Misere outcome of g plus each context, in context order: the whole
+        row decoded at once, for callers that read most of it."""
+        left, right = self.row(g)
+        codes = (left << 1 | right).to_bytes(self._size, "little")  # 2 * L + R
+        return [_BY_WINS[code] for code in codes]
 
 
 def _differ(a: Row, b: Row) -> int:
@@ -376,17 +388,43 @@ def bounded_multisets(
     )
 
 
+def bounded_sums(
+    descriptor: str,
+    count: int,
+    items: Callable[[], Sequence[T]],
+    max_terms: int,
+    game: Callable[[T], GameId] = lambda item: item,
+) -> Iterator[tuple[tuple[T, ...], GameId]]:
+    """Every multiset of at most max_terms of the count items, by size, with
+    the sum of its items' games.
+
+    Refused, and its items listed, by `bounded_multisets` before the first
+    sum is built.  Each sum is one `add` onto the sum of the multiset's
+    prefix, the multiset without its last item, which was listed one size
+    earlier.
+    """
+    combos = bounded_multisets(descriptor, count, items, max_terms)
+
+    def with_sums() -> Iterator[tuple[tuple[T, ...], GameId]]:
+        prefixes: dict[tuple[T, ...], GameId] = {}
+        for combo in combos:
+            total = add(prefixes[combo[:-1]], game(combo[-1])) if combo else ZERO
+            if len(combo) < max_terms:
+                prefixes[combo] = total
+            yield combo, total
+
+    return with_sums()
+
+
 def number_multisets(
     max_exponent: int, max_magnitude: int, max_terms: int
-) -> tuple[str, Iterator[tuple[tuple[NumberLiteral, GameId], ...]]]:
+) -> tuple[str, Iterator[tuple[tuple[NumberLiteral, ...], GameId]]]:
     """The numbers test set's descriptor, and its multisets of literals, each
-    paired with its game; the games are built in the literals' order."""
+    with its sum; the literals' games are built in the literals' order."""
     descriptor = f"numbers:j{max_exponent}:v{max_magnitude}:t{max_terms}"
-    numbers = lambda: [
-        (lit, dyadic_game(lit)) for lit in number_literals(max_exponent, max_magnitude)
-    ]
-    count = literal_count(max_exponent, max_magnitude)  # len(numbers())
-    return descriptor, bounded_multisets(descriptor, count, numbers, max_terms)
+    count = literal_count(max_exponent, max_magnitude)  # len(number_literals(...))
+    literals = lambda: number_literals(max_exponent, max_magnitude)
+    return descriptor, bounded_sums(descriptor, count, literals, max_terms, dyadic_game)
 
 
 def gen_dead_end_closure(birthday_cap: int, option_cap: int, max_terms: int) -> TestSet:
@@ -395,17 +433,16 @@ def gen_dead_end_closure(birthday_cap: int, option_cap: int, max_terms: int) -> 
         raise ValueError("max_terms must be >= 0")
     descriptor = f"dead-end-closure:b{birthday_cap}:k{option_cap}:t{max_terms}"
     ends = gen_dead_ends(birthday_cap, option_cap)
-    combos = bounded_multisets(descriptor, len(ends), lambda: ends, max_terms)
-    return TestSet(descriptor, tuple(sort_games({add_all(c) for c in combos})))
+    sums = bounded_sums(descriptor, len(ends), lambda: ends, max_terms)
+    return TestSet(descriptor, tuple(sort_games({s for _, s in sums})))
 
 
 def gen_number_closure(
     max_exponent: int, max_magnitude: int, max_terms: int
 ) -> TestSet:
     """Sums of up to max_terms canonical numbers within the literal bounds."""
-    descriptor, combos = number_multisets(max_exponent, max_magnitude, max_terms)
-    sums = {add_all(g for _, g in c) for c in combos}
-    return TestSet(descriptor, tuple(sort_games(sums)))
+    descriptor, sums = number_multisets(max_exponent, max_magnitude, max_terms)
+    return TestSet(descriptor, tuple(sort_games({s for _, s in sums})))
 
 
 def generate(descriptor: str) -> TestSet:
@@ -671,14 +708,11 @@ def quotient_monoid(
     if any(conjugate(g) not in gen_set for g in gens):
         raise ValueError("generator set must be closed under conjugation")
     labels = {g: _generator_label(g) for g in gens}
-    combos = bounded_multisets(
-        "monoid generator sums", len(gens), lambda: gens, max_terms
-    )
+    built = bounded_sums("monoid generator sums", len(gens), lambda: gens, max_terms)
 
     notes: list[str] = []
     sums: dict[GameId, int] = {}
-    for combo in combos:
-        s = add_all(combo)
+    for combo, s in built:
         label = sum(labels[g] for g in combo)
         if sums.setdefault(s, label) != label:
             notes.append(f"structurally equal sums carry labels {sums[s]} and {label}")

@@ -3,6 +3,7 @@
 import itertools
 import json
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -11,10 +12,15 @@ from deadending import (
     NumberLiteral,
     Outcome,
     add,
+    add_all,
+    birthday,
     conjugate,
     dyadic_game,
+    is_left_end,
+    number_literals,
     outcome_geq,
     outcome_misere,
+    outcome_misere_sum,
 )
 from deadending import claims
 from deadending.claims import (
@@ -28,10 +34,11 @@ from deadending.claims import (
     run_all,
     run_claim,
 )
-from deadending.games import store_size
+from deadending.games import followers, store_size
 from deadending.universes import (
     DEFAULT_MEMBER_BUDGET,
     BudgetExceededError,
+    ContextTable,
     gen_dead_ending,
 )
 
@@ -264,6 +271,54 @@ def test_number_sum_claims_refuse_their_multisets_before_building(claim):
     assert collapse.details["reason"] == report.details["reason"]
 
 
+def test_number_sums_are_built_once_per_bounds_in_build_order():
+    bounds = Bounds(exponent=2, magnitude=1, terms=3)
+    sums = bounds.number_sums
+    assert sums is bounds.number_sums and sums.descriptor == "numbers:j2:v1:t3"
+    built = [sums.table.contexts[i] for _, i in sums.cases]
+    assert built == [add_all(dyadic_game(l) for l in literals) for literals, _ in sums.cases]
+    distinct = tuple(dict.fromkeys(built))
+    assert sums.table.contexts[: len(distinct)] == distinct
+    assert len(sums.cases) == comb(8 + 3, 3)  # 8 literals, up to 3 terms
+
+
+def test_number_sum_rows_match_the_pair_search():
+    # the rows the number claims read, against the search they replaced
+    bounds = Bounds(exponent=2, magnitude=1, terms=3)
+    table = bounds.number_sums.table
+    left_ends = [x for x in bounds.dead_ending_tests.members if is_left_end(x)]
+    assert len(left_ends) == 4
+    alone = table.outcomes(ZERO)
+    rows = [table.outcomes(x) for x in left_ends]
+    for i in sorted({i for _, i in bounds.number_sums.cases}):
+        total = table.contexts[i]
+        assert alone[i] == outcome_misere(total), total
+        for x, row in zip(left_ends, rows):
+            assert row[i] == outcome_misere_sum(total, x), (total, x)
+
+
+def test_literal_birthdays_and_inverse_positions_have_closed_forms():
+    for exponent, magnitude in itertools.product(range(6), range(4)):
+        for lit in number_literals(exponent, magnitude):
+            g = dyadic_game(lit)
+            b = claims._literal_birthday(lit)
+            assert b == birthday(g), lit
+            assert len(followers(add(g, conjugate(g)))) <= (b + 1) ** 2, lit
+
+
+def test_numbers_invertible_counts_its_sums_before_building_them():
+    # 4,096 literals fit the member budget; the positions of their sums do not
+    gen_dead_ending(2, 2)  # the claim's contexts, built first
+    before = store_size()
+    report = run_claim("thm:numbers-invertible", Bounds(exponent=10))
+    assert report.status == "skipped" and report.cases == 0
+    assert report.details["reason"] == (
+        "test set inverse sums:j10:v2 needs 550920 members, "
+        "which exceeds the budget of 500000"
+    )
+    assert store_size() == before
+
+
 def test_failures_before_a_refusal_still_refute(monkeypatch):
     checker = refused_after(lambda check: check.run(False, ZERO, "a real failure"))
     monkeypatch.setitem(claims._REGISTRY, "fact:star-squared", checker)
@@ -348,7 +403,8 @@ FORCED_REFUTATIONS = [
     ),
     (
         "lemma:number-plus-end",
-        (claims, "outcome_misere_sum", lambda g, h: Outcome.R),
+        # the claim reads each left end's row against the number sums
+        (ContextTable, "outcomes", lambda self, g: [Outcome.R] * len(self.contexts)),
         {"game": "0", "role": "left end spoils a Left-won number sum", "terms": "-1"},
         ["-1", "-1", "-1/2", "-1/2", "-1 + -1", "-1 + -1", "-1 + -1/2", "-1 + -1/2",
          "-1/2 + -1/2", "-1/2 + -1/2"],

@@ -47,13 +47,15 @@ GOLDEN_CASES = {
 
 # Envelopes that render games whose options were first interned in another
 # order by other tests: `render` lists options in id order, so these are
-# compared as a fresh process prints them.
+# compared as a fresh process prints them.  The default `verify all` is among
+# them, so that a fresh run at the default bounds is pinned byte for byte.
 FRESH_GOLDEN_CASES = {
     "monoid_dyadics.json": ["monoid", "--generators", "dyadics:j3:v1", "--terms", "2",
                             "--tests", "numbers:j3:v2:t2", "--json"],
     "monoid_dead_ends.json": ["monoid", "--generators", "{0|};{|0};{0,1|};{|0,-1};0",
                               "--terms", "2", "--tests", "dead-end-closure:b2:k2:t2",
                               "--json"],
+    "verify_all_default.json": ["verify", "all", "--json"],
 }
 
 
@@ -277,6 +279,8 @@ def test_generator_specs_over_the_member_budget_exit_3_before_building(spec, cou
         (["verify", "cor:numbers-distinct", "--j", "16", "--json"], "literal pairs:j16:v2"),
         (["verify", "thm:number-order", "--j", "16", "--json"], "literal pairs:j16:v2"),
         (["verify", "thm:geq-implies-normal", "--j", "16", "--json"], "pool pairs:j16:v2"),
+        # and the positions of their sums g + conj(g) do not either
+        (["verify", "thm:numbers-invertible", "--j", "16", "--json"], "inverse sums:j16:v2"),
     ],
 )
 def test_unbounded_probes_exit_3_within_a_second_in_a_fresh_process(argv, bound):

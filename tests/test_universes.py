@@ -1,6 +1,10 @@
 """Test-set generation, verdicts, closed-form comparisons, monoid quotients."""
 
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -215,6 +219,69 @@ def test_bounded_multisets_count_before_listing():
     assert ["".join(c) for c in combos] == [
         "", "a", "b", "c", "aa", "ab", "ac", "bb", "bc", "cc"
     ]
+
+
+def fold_sums(pool, max_terms):
+    """Every bounded multiset's sum, by the left fold the sum builder replaced."""
+    return [
+        add_all(combo)
+        for size in range(max_terms + 1)
+        for combo in itertools.combinations_with_replacement(pool, size)
+    ]
+
+
+def test_prefix_built_sums_equal_the_left_fold():
+    ends = gen_dead_ends(2, 2)
+    built = universes.bounded_sums("ends", len(ends), lambda: ends, 3)
+    assert [s for _, s in built] == fold_sums(ends, 3)
+    descriptor, sums = universes.number_multisets(2, 1, 3)
+    assert descriptor == "numbers:j2:v1:t3"
+    for literals, total in sums:
+        assert total == add_all(dyadic_game(l) for l in literals), literals
+    with pytest.raises(BudgetExceededError):  # refused on the call, not on iteration
+        universes.bounded_sums("many", 10**6, lambda: pytest.fail("listed"), 1)
+
+
+def test_sum_builder_callers_build_the_fold_sums():
+    ends = gen_dead_ends(2, 2)
+    closure = gen_dead_end_closure(2, 2, 2)
+    assert closure.members == tuple(sort_games(set(fold_sums(ends, 2))))
+    literals = [dyadic_game(l) for l in number_literals(2, 1)]
+    numbers = gen_number_closure(2, 1, 3)
+    assert numbers.members == tuple(sort_games(set(fold_sums(literals, 3))))
+    gens = sort_games(integer_game(n) for n in range(-2, 3))
+    report = quotient_monoid(gens, 2, closure)
+    members = [m for cls in report.classes for m in cls.members]
+    assert sorted(members) == sorted(set(fold_sums(gens, 2)))
+
+
+# in a fresh process: both routes intern the same nodes in the same order
+FOLD_OR_PREFIX = """
+import hashlib, itertools, sys
+from deadending import games
+from deadending.games import add_all, dyadic_game, number_literals
+from deadending.universes import number_multisets
+if sys.argv[1] == "prefix":
+    built = [s for _, s in number_multisets(3, 2, 3)[1]]
+else:
+    pool = [dyadic_game(l) for l in number_literals(3, 2)]
+    built = [add_all(c) for t in range(4)
+             for c in itertools.combinations_with_replacement(pool, t)]
+print(len(built), games.store_size(), hashlib.sha256(repr(games._nodes).encode()).hexdigest())
+"""
+
+
+def test_prefix_built_sums_intern_what_the_left_fold_interns():
+    package_root = str(pathlib.Path(universes.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", FOLD_OR_PREFIX, route],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout
+        for route in ("prefix", "fold")
+    ]
+    assert runs[0] == runs[1] and runs[0].startswith("6545 ")
 
 
 def test_every_enumeration_refuses_under_a_lowered_member_budget(monkeypatch):
@@ -604,6 +671,16 @@ def test_table_rows_match_pair_search_on_random_games(shape):
     g = build(shape)
     for tests in (SCAN, LADDERS):
         assert_rows_match_pair_search(g, tests)
+
+
+@settings(max_examples=100)
+@given(shapes)
+def test_whole_row_outcomes_match_single_reads_on_random_games(shape):
+    g = build(shape)
+    for tests in (SCAN, LADDERS):
+        table = tests.table
+        row = table.outcomes(g)
+        assert row == [table.outcome(g, i) for i in range(len(table.contexts))]
 
 
 def solved(members, requests):
