@@ -438,3 +438,52 @@ def test_passing_cases_format_no_details(monkeypatch):
     monkeypatch.setattr(claims, "render", lambda *args: pytest.fail("rendered"))
     for claim in ("lemma:follower-closed", "thm:ends-invertible"):
         assert run_claim(claim, TINY).status == "pass"
+
+
+# Every witness that the pair searches return is re-checked by the pair search
+# itself.  With that search patched to answer N, every witness fails its
+# re-check, so each report pins the route counts and the failures filed.
+def _recheck_report(cases, witnesses, details):
+    return {"status": "refuted", "bounds": TINY.to_dict(), "cases": cases,
+            "witnesses": witnesses, "details": details}
+
+
+def _missing(role, pairs):
+    return [{"game": pair.split(",")[0], "role": role, "pair": pair} for pair in pairs]
+
+
+RECHECK_PIN = {
+    "cor:numbers-distinct": _recheck_report(
+        6,
+        _missing("no distinguishing context found",
+                 ["-1,-1/2", "-1,1/2", "-1,1", "-1/2,1/2", "-1/2,1", "1/2,1"]),
+        {"routes": {"scan": 4, "ladder": 2, "composite": 0}, "tests": "dead-ending:b1:k2"},
+    ),
+    "thm:number-order": _recheck_report(
+        12,
+        _missing("strictness witness missing", ["-1,-1/2"])
+        + _missing("incomparable direction lacks a witness",
+                   ["-1,1/2", "1/2,-1", "-1,1", "1,-1", "-1/2,1/2", "1/2,-1/2",
+                    "-1/2,1", "1,-1/2"])
+        + _missing("strictness witness missing", ["1/2,1"]),
+        {"tests": "dead-ending:b1:k2", "greater_pairs": 2, "incomparable_pairs": 4,
+         "routes": {"scan": 4, "ladder": 4, "composite": 0}},
+    ),
+    "thm:geq-implies-normal": _recheck_report(
+        16,
+        [{"game": game, "role": "witness fails re-check"} for game in [
+            "lambda(1)", "{1 | 0}", "{1 | 0}", "0", "lambda(1)", "*", "*", "lambda(2)",
+            "lambda(1)", "{{1 | 0} | 0}", "0", "lambda(1)", "*", "lambda(1)", "lambda(1)",
+            "*"]],
+        {"sampled_pairs": 16, "witness_found": 16, "witness_beyond_bound": 0,
+         "coverage": 1.0},
+    ),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(RECHECK_PIN))
+def test_every_search_witness_is_rechecked(monkeypatch, claim):
+    monkeypatch.setattr(claims, "outcome_misere_sum", lambda g, h: Outcome.N)
+    report = run_claim(claim, TINY).to_dict()
+    del report["duration_ms"]
+    assert json.dumps(report) == json.dumps({"claim": claim, **RECHECK_PIN[claim]})
