@@ -21,7 +21,7 @@ import random
 import time
 from collections import namedtuple
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .games import (
     ZERO,
@@ -95,22 +95,25 @@ class NumberSums(NamedTuple):
 
 class Bounds(namedtuple("Bounds", "birthday options terms exponent magnitude scan_birthday "
                         "struct_exponent seed", defaults=(3, 2, 3, 3, 2, 2, 6, 0))):
-    """Scale knobs for the bounded checks.
+    """Scale knobs for the bounded checks, and the one owner of the pools
+    that the claims draw from.
 
     birthday/options/terms govern end and closure generation; exponent and
     magnitude bound number literals; scan_birthday bounds the dead-ending
     context universe used for equivalence scans, which grows so much faster
     than the others that it gets its own knob.  struct_exponent bounds the
     purely arithmetic dyadic checks, which are nearly free.  Bounds are
-    built by keyword; equal bounds compare and hash as tuples, and each
-    keeps its own test sets and number sums.
+    built by keyword; equal bounds compare and hash as tuples.  Each lists
+    its pools once, on first use; a pool the member budget refuses keeps
+    nothing, so it is refused again on each use.
     """
 
     def __new__(cls, **bounds: int) -> "Bounds":
         self = super().__new__(cls, **bounds)  # a TypeError on an unknown name
         for name, value in self._asdict().items():
-            if name != "seed" and value < 0:
-                raise ValueError(f"bound {name} must be >= 0, got {value}")
+            low = int(name == "options")  # every game generator takes an option
+            if name != "seed" and value < low:
+                raise ValueError(f"bound {name} must be >= {low}, got {value}")
         return self
 
     @classmethod
@@ -123,7 +126,25 @@ class Bounds(namedtuple("Bounds", "birthday options terms exponent magnitude sca
     def to_dict(self) -> dict:
         return self._asdict()
 
-    # built once per Bounds, so that the claims share their context tables
+    @cached_property
+    def literals(self) -> list[NumberLiteral]:
+        return number_literals(self.exponent, self.magnitude)
+
+    @property
+    def literal_pairs(self) -> Iterator[tuple[NumberLiteral, NumberLiteral]]:
+        """The literals' n(n-1)/2 pairs, counted before the first is made."""
+        n = len(self.literals)
+        within_budget(f"literal pairs:j{self.exponent}:v{self.magnitude}", n * (n - 1) // 2)
+        return itertools.combinations(self.literals, 2)
+
+    @cached_property
+    def struct_literals(self) -> list[NumberLiteral]:
+        return number_literals(self.struct_exponent, self.magnitude)
+
+    @cached_property
+    def dead_ends(self) -> list[GameId]:
+        return gen_dead_ends(self.birthday, self.options)
+
     @cached_property
     def number_sums(self) -> NumberSums:
         descriptor, sums = number_multisets(self.exponent, self.magnitude, self.terms)
@@ -213,52 +234,50 @@ class _Check:
 # ---------------------------------------------------------------------------
 # witness search shared by the order and distinctness claims
 
+# a row predicate of `universes`: `_fails_geq` or `_differ`
+RowPredicate = Callable[[Row, Row], int]
+
 
 def _context_witness(
-    g: GameId,
-    h: GameId,
-    predicate: Callable[[Row, Row], int],
-    scan: TestSet,
-    pack: TestSet,
+    g: GameId, h: GameId, predicate: RowPredicate, bounds: Bounds
 ) -> Optional[tuple[GameId, str]]:
     """A dead-ending context X where predicate holds for g and h, and its route.
 
-    The predicate is a row predicate of `universes` (`_fails_geq` or
-    `_differ`).  Tries the scan pool, then ladder contexts, then composites
+    Tries the bounds' scan pool, then their ladder contexts, then composites
     conj(h) + Y; the composite step mirrors the reduction of g >= h to
     g + conj(h) >= 0, valid whenever h has an inverse.  Composites are read
     as the rows of g + conj(h) and h + conj(h) against Y, so only the
-    returned witness is built.  Every returned witness is re-verified
-    directly by the caller, so the route taken never weakens the result.
+    returned witness is built.  Every returned witness is re-checked by the
+    caller with `_verify_refutation` and the same predicate, so the route
+    taken never weakens the result.
     """
-    for route, tests in (("scan", scan), ("ladder", pack)):
+    pools = (bounds.dead_ending_tests, bounds.ladder_pack)
+    for route, tests in zip(("scan", "ladder"), pools):
         i = tests.table.first(g, h, predicate)
         if i is not None:
             return tests.members[i], route
     h_conjugate = conjugate(h)
     g_shifted = add(g, h_conjugate)
     h_shifted = add(h, h_conjugate)
-    for tests in (scan, pack):
+    for tests in pools:
         i = tests.table.first(g_shifted, h_shifted, predicate)
         if i is not None:
             return add(h_conjugate, tests.members[i]), "composite"
     return None
 
 
-def _paired_literals(bounds: Bounds) -> list[NumberLiteral]:
-    """The bounds' literals, refused when their n(n-1)/2 pairs exceed the
-    member budget: a pair loop over them is counted before it starts."""
-    literals = number_literals(bounds.exponent, bounds.magnitude)
-    n = len(literals)
-    within_budget(f"literal pairs:j{bounds.exponent}:v{bounds.magnitude}", n * (n - 1) // 2)
-    return literals
+# an outcome as a row over one context: (Left wins moving first, Right does)
+_ONE_CONTEXT_ROW = {Outcome.L: (1, 0), Outcome.R: (0, 1), Outcome.N: (1, 1), Outcome.P: (0, 0)}
 
 
-def _verify_refutation(g: GameId, h: GameId, x: GameId) -> bool:
-    """Independent re-check of a refutation of g >= h by the pair search."""
-    return is_dead_ending(x) and not outcome_geq(
-        outcome_misere_sum(g, x), outcome_misere_sum(h, x)
-    )
+def _verify_refutation(g: GameId, h: GameId, x: GameId, predicate: RowPredicate) -> bool:
+    """Independent re-check of a witness x of `_context_witness`: x is
+    dead-ending and the predicate holds on the pair search's outcomes of
+    g + x and h + x, read as rows over the one context x."""
+    if not is_dead_ending(x):
+        return False
+    a, b = (_ONE_CONTEXT_ROW[outcome_misere_sum(k, x)] for k in (g, h))
+    return bool(predicate(a, b) & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +300,7 @@ def _claim_sum_closed(bounds: Bounds, check: _Check) -> None:
 
 
 def _claim_dead_end_outcome(bounds: Bounds, check: _Check) -> None:
-    for g in gen_dead_ends(bounds.birthday, bounds.options):
+    for g in bounds.dead_ends:
         if g == ZERO:
             check.run(outcome_misere(g) == Outcome.N, g, "zero end not N")
             continue
@@ -292,7 +311,7 @@ def _claim_dead_end_outcome(bounds: Bounds, check: _Check) -> None:
 
 
 def _claim_end_sum_outcome(bounds: Bounds, check: _Check) -> None:
-    ends = gen_dead_ends(bounds.birthday, bounds.options)
+    ends = bounds.dead_ends
     rights = [g for g in ends if is_dead_right_end(g)]
     lefts = [g for g in ends if is_dead_left_end(g)]
     for g in rights:
@@ -308,7 +327,7 @@ def _claim_end_sum_outcome(bounds: Bounds, check: _Check) -> None:
 def _claim_ends_invertible(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests
     left_ends = [x for x in tests.members if is_left_end(x)]
-    for g in gen_dead_ends(bounds.birthday, bounds.options):
+    for g in bounds.dead_ends:
         verdict = invert_check(g, tests)
         check.run(
             not verdict.witnesses,
@@ -330,30 +349,27 @@ def _claim_ends_invertible(bounds: Bounds, check: _Check) -> None:
 def _claim_int_total_order(bounds: Bounds, check: _Check) -> None:
     tests = bounds.closure_tests
     span = range(-bounds.birthday, bounds.birthday + 1)
-    for n in span:
-        for m in span:
-            if n >= m:
-                continue
-            verdict = geq_mod(integer_game(n), integer_game(m), tests)
+    for n, m in itertools.combinations(span, 2):  # n < m
+        verdict = geq_mod(integer_game(n), integer_game(m), tests)
+        check.run(
+            not verdict.witnesses,
+            integer_game(n),
+            "smaller integer not >= larger over closure",
+            pair=f"{n},{m}",
+        )
+        strict = equiv_mod(integer_game(n), integer_game(m), tests)
+        check.search(
+            bool(strict.witnesses),
+            f"terms={bounds.terms} too small: {n} and {m} indistinguishable "
+            f"over {tests.descriptor}",
+        )
+        if strict.witnesses:
             check.run(
-                not verdict.witnesses,
+                compare_integers_mod_dead_end_closure(n, m).relation is Relation.GREATER,
                 integer_game(n),
-                "smaller integer not >= larger over closure",
+                "closed form disagrees",
                 pair=f"{n},{m}",
             )
-            strict = equiv_mod(integer_game(n), integer_game(m), tests)
-            check.search(
-                bool(strict.witnesses),
-                f"terms={bounds.terms} too small: {n} and {m} indistinguishable "
-                f"over {tests.descriptor}",
-            )
-            if strict.witnesses:
-                check.run(
-                    compare_integers_mod_dead_end_closure(n, m).relation is Relation.GREATER,
-                    integer_game(n),
-                    "closed form disagrees",
-                    pair=f"{n},{m}",
-                )
     check.details["tests"] = tests.descriptor
 
 
@@ -369,7 +385,7 @@ def _claim_int_incomparable(bounds: Bounds, check: _Check) -> None:
             x = conjugate(gm)
             run(outcome_misere_sum(gn, x) == Outcome.R, x, "n + conj(m) not R")
             run(outcome_misere_sum(gm, x) == Outcome.N, x, "m + conj(m) not N")
-            run(_verify_refutation(gn, gm, x), x, "conjugate witness fails")
+            run(_verify_refutation(gn, gm, x, _fails_geq), x, "conjugate witness fails")
             # ladder witness refutes n <= m
             if m >= 0:
                 witness = lambda_game(n)
@@ -387,13 +403,13 @@ def _claim_int_incomparable(bounds: Bounds, check: _Check) -> None:
             else:
                 # consecutive pair below zero: the conjugated ladder separates it
                 witness = conjugate(lambda_game(-m))
-            refuted = _verify_refutation(gm, gn, witness)
+            refuted = _verify_refutation(gm, gn, witness, _fails_geq)
             run(refuted, witness, "ladder witness fails to refute n <= m")
 
 
 def _claim_end_to_integer(bounds: Bounds, check: _Check) -> None:
     tests = bounds.closure_tests
-    for g in gen_dead_ends(bounds.birthday, bounds.options):
+    for g in bounds.dead_ends:
         literal = reduce_end_to_integer(g)
         verdict = equiv_mod(g, dyadic_game(literal), tests)
         check.run(
@@ -465,7 +481,7 @@ def _claim_number_monoid(bounds: Bounds, check: _Check) -> None:
 def _claim_dyadic_options(bounds: Bounds, check: _Check) -> None:
     tallies = {"1:rl": 0, "1:lr": 0, "3:rl": 0, "3:lr": 0}
     flips = 0
-    for lit in number_literals(bounds.struct_exponent, bounds.magnitude):
+    for lit in bounds.struct_literals:
         if lit.is_integer:
             continue
         g = dyadic_game(lit)
@@ -499,7 +515,7 @@ def _claim_dyadic_options(bounds: Bounds, check: _Check) -> None:
 
 
 def _claim_right_option_length(bounds: Bounds, check: _Check) -> None:
-    for lit in number_literals(bounds.struct_exponent, bounds.magnitude):
+    for lit in bounds.struct_literals:
         if lit.is_integer:
             continue
         # a negative literal is checked through its positive conjugate, whose
@@ -539,7 +555,7 @@ def _claim_number_collapses(bounds: Bounds, check: _Check) -> None:
     # each literal's game, then its length integer's: the order that fixes ids
     pairs = [
         (lit, dyadic_game(lit), integer_game(lit.signed_length()))
-        for lit in number_literals(bounds.exponent, bounds.magnitude)
+        for lit in bounds.literals
     ]
     sums.table.solve(game for _, g, n in pairs for game in (g, n))
     for lit, g, n in pairs:
@@ -572,19 +588,19 @@ def _claim_number_plus_end(bounds: Bounds, check: _Check) -> None:
     check.details["left_ends"] = len(left_ends)
 
 
-def _literal_birthday(lit: NumberLiteral) -> int:
-    """Birthday of the canonical number: |n| for an integer n, and
-    floor(|m| / 2^j) + j + 1 for m / 2^j with j >= 1."""
-    magnitude = abs(lit.numerator)
-    return magnitude if lit.is_integer else (magnitude >> lit.exponent) + lit.exponent + 1
+def _inverse_positions(exponent: int, magnitude: int) -> int:
+    """The positions of every g + conj(g) over the literals, at most (b + 1)**2
+    for g of birthday b.  The integers +-n have birthday n, and at exponent
+    e >= 1 the 2**e literals +-m / 2**e with |m| >> e = q have q + e + 1."""
+    return 2 * sum(n * n for n in range(2, magnitude + 2)) + sum(
+        (1 << e) * (q + e + 2) ** 2 for e in range(1, exponent + 1) for q in range(magnitude)
+    )
 
 
 def _claim_numbers_invertible(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests
-    literals = number_literals(bounds.exponent, bounds.magnitude)
-    # a number of birthday b has at most b + 1 positions, so g + conj(g) has
-    # at most (b + 1)**2: counted before any sum is built
-    positions = sum((_literal_birthday(lit) + 1) ** 2 for lit in literals)
+    literals = bounds.literals  # refused first, on their own count
+    positions = _inverse_positions(bounds.exponent, bounds.magnitude)
     within_budget(f"inverse sums:j{bounds.exponent}:v{bounds.magnitude}", positions)
     for lit in literals:
         verdict = invert_check(dyadic_game(lit), tests)
@@ -599,10 +615,9 @@ def _claim_numbers_invertible(bounds: Bounds, check: _Check) -> None:
 
 def _claim_geq_implies_normal(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests
-    literals = number_literals(bounds.exponent, bounds.magnitude)  # before the pack
+    literals = bounds.literals
     size = len(literals) + min(4 * len(literals), len(tests))  # the pool, at most
     within_budget(f"pool pairs:j{bounds.exponent}:v{bounds.magnitude}", size * (size - 1))
-    pack = bounds.ladder_pack
     rng = random.Random(bounds.seed)
     pool = [dyadic_game(lit) for lit in literals]
     pool += list(tests.members[: 4 * len(pool)])
@@ -612,21 +627,15 @@ def _claim_geq_implies_normal(bounds: Bounds, check: _Check) -> None:
     ]
     rng.shuffle(pairs)
     sample = pairs[:60]
-    found = 0
-    beyond = 0
     for g, h in sample:
-        hit = _context_witness(g, h, _fails_geq, tests, pack)
+        hit = _context_witness(g, h, _fails_geq, bounds)
         check.cases += 1
-        if hit is not None:
-            witness, route = hit
-            if not _verify_refutation(g, h, witness):
-                check.failures.append(_witness(witness, "witness fails re-check"))
-            found += 1
-        else:
-            beyond += 1
-            check.witnesses.append(
-                _witness(g, "witness beyond bound", against=render(h))
-            )
+        if hit is None:
+            check.witnesses.append(_witness(g, "witness beyond bound", against=render(h)))
+        elif not _verify_refutation(g, h, hit[0], _fails_geq):
+            check.failures.append(_witness(hit[0], "witness fails re-check"))
+    beyond = len(check.witnesses)
+    found = len(sample) - beyond
     check.details.update(
         {
             "sampled_pairs": len(sample),
@@ -639,31 +648,20 @@ def _claim_geq_implies_normal(bounds: Bounds, check: _Check) -> None:
 
 def _claim_numbers_distinct(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests
-    literals = _paired_literals(bounds)  # before the pack
-    pack = bounds.ladder_pack
     routes = {"scan": 0, "ladder": 0, "composite": 0}
-    for i, a in enumerate(literals):
-        for b in literals[i + 1 :]:
-            ga, gb = dyadic_game(a), dyadic_game(b)
-            hit = _context_witness(ga, gb, _differ, tests, pack)
-            ok = hit is not None
-            if ok:
-                witness, route = hit
-                routes[route] += 1
-                ok = is_dead_ending(witness) and outcome_misere_sum(
-                    ga, witness
-                ) != outcome_misere_sum(gb, witness)
-            check.run(ok, ga, "no distinguishing context found", pair=f"{a},{b}")
+    for a, b in bounds.literal_pairs:
+        ga, gb = dyadic_game(a), dyadic_game(b)
+        hit = _context_witness(ga, gb, _differ, bounds)
+        if hit is not None:
+            routes[hit[1]] += 1
+        ok = hit is not None and _verify_refutation(ga, gb, hit[0], _differ)
+        check.run(ok, ga, "no distinguishing context found", pair=f"{a},{b}")
     check.details["routes"] = routes
     check.details["tests"] = tests.descriptor
 
 
 def _claim_simplicity_length(bounds: Bounds, check: _Check) -> None:
-    literals = [
-        lit
-        for lit in number_literals(bounds.struct_exponent, bounds.magnitude)
-        if lit.numerator > 0
-    ]
+    literals = [lit for lit in bounds.struct_literals if lit.numerator > 0]
     values = [lit.scaled(bounds.struct_exponent) for lit in literals]
     for a, a_value in zip(literals, values):
         a_left = a.left_option()
@@ -684,42 +682,39 @@ def _claim_simplicity_length(bounds: Bounds, check: _Check) -> None:
 
 def _claim_number_order(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests
-    literals = _paired_literals(bounds)  # before the pack
-    pack = bounds.ladder_pack
     routes = {"scan": 0, "ladder": 0, "composite": 0}
     greater_checked = 0
     incomparable_checked = 0
-    for i, a in enumerate(literals):
-        for b in literals[i + 1 :]:
-            relation = compare_numbers_mod_E(a, b).relation
-            ga, gb = dyadic_game(a), dyadic_game(b)
-            if relation in (Relation.GREATER, Relation.LESS):
-                hi, lo = (ga, gb) if relation is Relation.GREATER else (gb, ga)
-                greater_checked += 1
-                stray = _context_witness(hi, lo, _fails_geq, tests, pack)
+    for a, b in bounds.literal_pairs:
+        relation = compare_numbers_mod_E(a, b).relation
+        ga, gb = dyadic_game(a), dyadic_game(b)
+        if relation in (Relation.GREATER, Relation.LESS):
+            hi, lo = (ga, gb) if relation is Relation.GREATER else (gb, ga)
+            greater_checked += 1
+            stray = _context_witness(hi, lo, _fails_geq, bounds)
+            check.run(
+                stray is None,
+                hi,
+                "closed-form greater direction refuted",
+                pair=f"{a},{b}",
+            )
+            strict = _context_witness(lo, hi, _fails_geq, bounds)
+            ok = strict is not None and _verify_refutation(lo, hi, strict[0], _fails_geq)
+            check.run(ok, lo, "strictness witness missing", pair=f"{a},{b}")
+        elif relation is Relation.INCOMPARABLE:
+            incomparable_checked += 1
+            for x, y in ((a, b), (b, a)):
+                gx, gy = dyadic_game(x), dyadic_game(y)
+                hit = _context_witness(gx, gy, _fails_geq, bounds)
+                ok = hit is not None and _verify_refutation(gx, gy, hit[0], _fails_geq)
+                if hit is not None:
+                    routes[hit[1]] += 1
                 check.run(
-                    stray is None,
-                    hi,
-                    "closed-form greater direction refuted",
-                    pair=f"{a},{b}",
+                    ok,
+                    gx,
+                    "incomparable direction lacks a witness",
+                    pair=f"{x},{y}",
                 )
-                strict = _context_witness(lo, hi, _fails_geq, tests, pack)
-                ok = strict is not None and _verify_refutation(lo, hi, strict[0])
-                check.run(ok, lo, "strictness witness missing", pair=f"{a},{b}")
-            elif relation is Relation.INCOMPARABLE:
-                incomparable_checked += 1
-                for x, y in ((a, b), (b, a)):
-                    gx, gy = dyadic_game(x), dyadic_game(y)
-                    hit = _context_witness(gx, gy, _fails_geq, tests, pack)
-                    ok = hit is not None and _verify_refutation(gx, gy, hit[0])
-                    if hit is not None:
-                        routes[hit[1]] += 1
-                    check.run(
-                        ok,
-                        gx,
-                        "incomparable direction lacks a witness",
-                        pair=f"{x},{y}",
-                    )
     check.details.update(
         {
             "tests": tests.descriptor,
@@ -766,7 +761,7 @@ def _zero_family_hypothesis(g: GameId) -> bool:
 def _claim_zero_family(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests
     candidates = set(tests.members)
-    ends = gen_dead_ends(bounds.birthday, bounds.options)
+    ends = bounds.dead_ends
     left_sources = [g for g in ends if is_left_end(g) and ZERO in right_options(g)]
     right_sources = [g for g in ends if is_right_end(g) and ZERO in left_options(g)]
     for lsize in range(bounds.options + 1):

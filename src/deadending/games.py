@@ -291,21 +291,17 @@ def number_literals(
     """All literals with exponent <= max_exponent and |value| <= max_magnitude,
     refused on their count before any is listed.
 
-    Deterministically ordered by (value, exponent).
+    Ordered by value: each multiple k / 2**max_exponent within the magnitude
+    names one literal, k / 2**max_exponent in lowest terms.
     """
     count = literal_count(max_exponent, max_magnitude) + include_zero
     within_budget(f"literals:j{max_exponent}:v{max_magnitude}", count)
-    found = []
-    for exponent in range(max_exponent + 1):
-        top = (max_magnitude.numerator << exponent) // max_magnitude.denominator
-        for numerator in range(-top, top + 1):
-            if exponent > 0 and numerator % 2 == 0:
-                continue
-            if numerator == 0 and not include_zero:
-                continue
-            found.append(NumberLiteral(numerator, exponent))
-    found.sort(key=lambda lit: (lit.scaled(max_exponent), lit.exponent))
-    return found
+    top = (max_magnitude.numerator << max_exponent) // max_magnitude.denominator
+    return [
+        NumberLiteral.reduced(k, max_exponent)
+        for k in range(-top, top + 1)
+        if k or include_zero
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from deadending.universes import (
     BudgetExceededError,
     ContextTable,
     gen_dead_ending,
+    gen_dead_ends,
 )
 
 # small enough to keep this module fast; the acceptance suite runs the
@@ -76,10 +77,11 @@ def test_composite_witness_is_conjugate_plus_context():
     # composite route must return conj(3/8) + Y for the first Y that the
     # built-sum route finds
     g, h = dyadic_game(-2), dyadic_game(Fraction(3, 8))
-    scan = gen_dead_ending(2, 2)
-    pack = Bounds().ladder_pack
-    witness, route = _context_witness(g, h, _fails_geq, scan, pack)
+    bounds = Bounds()
+    witness, route = _context_witness(g, h, _fails_geq, bounds)
     assert route == "composite"
+    scan, pack = bounds.dead_ending_tests, bounds.ladder_pack
+    assert scan.descriptor == gen_dead_ending(2, 2).descriptor
     first = next(
         y
         for y in itertools.chain(scan, pack)
@@ -89,15 +91,22 @@ def test_composite_witness_is_conjugate_plus_context():
         )
     )
     assert witness == add(conjugate(h), first)
-    assert _verify_refutation(g, h, witness)
+    assert _verify_refutation(g, h, witness, _fails_geq)
 
 
 def test_bounds_build_scan_test_sets_once():
     bounds = Bounds(scan_birthday=1)
-    assert bounds.dead_ending_tests is bounds.dead_ending_tests
-    assert bounds.ladder_pack is bounds.ladder_pack
+    pools = ("dead_ending_tests", "ladder_pack", "literals", "struct_literals", "dead_ends")
+    for pool in pools:
+        assert getattr(bounds, pool) is getattr(bounds, pool), pool
+    assert bounds.literals == number_literals(3, 2)
+    assert bounds.struct_literals == number_literals(6, 2)
+    assert bounds.dead_ends == gen_dead_ends(3, 2)
+    # the pairs are counted on each read, and made from the one literal list
+    assert list(bounds.literal_pairs) == list(itertools.combinations(bounds.literals, 2))
     twin = Bounds(scan_birthday=1)
-    assert twin.dead_ending_tests is not bounds.dead_ending_tests
+    for pool in pools:
+        assert getattr(twin, pool) is not getattr(bounds, pool), pool
     assert twin == bounds and hash(twin) == hash(bounds)
     assert bounds.to_dict() == {
         "birthday": 3,
@@ -127,6 +136,15 @@ def test_bounds_are_frozen_records():
         Bounds(terms=-1)
 
 
+def test_bounds_refuse_games_without_options():
+    # every game generator takes an option; zero options name no bound at all
+    with pytest.raises(ValueError, match="^bound options must be >= 1, got 0$"):
+        Bounds(options=0)
+    with pytest.raises(ValueError, match="^bound options must be >= 1, got 0$"):
+        Bounds()._replace(options=0)
+    assert Bounds(options=1).options == 1
+
+
 def test_bounds_replace_validates_and_defaults_are_the_fields():
     with pytest.raises(ValueError):
         Bounds()._replace(terms=-1)
@@ -144,6 +162,10 @@ def test_literal_claims_refuse_before_building_the_ladder_pack(claim):
     assert report.status == "skipped"
     assert report.details["reason"].startswith("test set literals:j60:v2 needs ")
     assert "ladder_pack" not in vars(bounds)
+    # a refused pool keeps nothing, so it is refused again on the next read
+    assert "literals" not in vars(bounds)
+    with pytest.raises(BudgetExceededError, match="literals:j60:v2"):
+        bounds.literals
 
 
 def test_closure_test_set_is_built_once_per_bounds(monkeypatch):
@@ -160,6 +182,25 @@ def test_closure_test_set_is_built_once_per_bounds(monkeypatch):
     for claim in ("thm:int-total-order", "lemma:end-to-integer"):
         assert run_claim(claim, bounds).status == "pass"
     assert built == [(2, 2, 2)]
+
+
+def test_run_all_lists_each_pool_once(monkeypatch):
+    # the claims read the literals and dead ends from their Bounds, which
+    # lists each once; the number monoid's fixed generators are a pool of
+    # their own
+    calls = {"number_literals": [], "gen_dead_ends": []}
+    for name, made in calls.items():
+        def counted(*args, _list=getattr(claims, name), _made=made, **kwargs):
+            _made.append(args + tuple(kwargs.items()))
+            return _list(*args, **kwargs)
+
+        monkeypatch.setattr(claims, name, counted)
+    reports = run_all(Bounds(**SMALL.to_dict()))  # equal to SMALL, with nothing built yet
+    assert all(r.status == "pass" for r in reports)
+    assert sorted(calls["number_literals"]) == [
+        (2, 1), (2, 1, ("include_zero", True)), (4, 1)
+    ]
+    assert calls["gen_dead_ends"] == [(2, 2)]
 
 
 def test_unknown_claim_rejected():
@@ -298,12 +339,19 @@ def test_number_sum_rows_match_the_pair_search():
 
 
 def test_literal_birthdays_and_inverse_positions_have_closed_forms():
-    for exponent, magnitude in itertools.product(range(6), range(4)):
-        for lit in number_literals(exponent, magnitude):
-            g = dyadic_game(lit)
-            b = claims._literal_birthday(lit)
-            assert b == birthday(g), lit
-            assert len(followers(add(g, conjugate(g)))) <= (b + 1) ** 2, lit
+    # the closed-form count of the sums' positions against the sum over each
+    # literal's game, on the literal sets nested in number_literals(10, 4)
+    squares = {lit: (birthday(dyadic_game(lit)) + 1) ** 2 for lit in number_literals(10, 4)}
+    for exponent, magnitude in itertools.product(range(11), range(5)):
+        expected = sum(squares[lit] for lit in number_literals(exponent, magnitude))
+        assert claims._inverse_positions(exponent, magnitude) == expected
+    assert claims._inverse_positions(10, 2) == 550920
+    assert claims._inverse_positions(9, 2) == 230408
+    # a number of birthday b has at most b + 1 positions, so g + conj(g) at
+    # most (b + 1)**2
+    for lit in number_literals(5, 3):
+        g = dyadic_game(lit)
+        assert len(followers(add(g, conjugate(g)))) <= squares[lit], lit
 
 
 def test_numbers_invertible_counts_its_sums_before_building_them():

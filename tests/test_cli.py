@@ -236,6 +236,12 @@ def test_verify_negative_bound_is_usage_error():
     assert "birthday must be >= 0" in err
 
 
+def test_verify_with_no_options_is_usage_error():
+    # refused on the bound before any claim runs, naming the bound
+    code, out, err = run_cli(["verify", "all", "--k", "0"])
+    assert (code, out, err) == (2, "", "error: bound options must be >= 1, got 0\n")
+
+
 def test_monoid_negative_terms_is_usage_error():
     argv = ["monoid", "--generators", "ints:-1..1", "--terms", "-1",
             "--tests", "dead-ending:b1:k1"]
@@ -281,6 +287,8 @@ def test_generator_specs_over_the_member_budget_exit_3_before_building(spec, cou
         (["verify", "thm:geq-implies-normal", "--j", "16", "--json"], "pool pairs:j16:v2"),
         # and the positions of their sums g + conj(g) do not either
         (["verify", "thm:numbers-invertible", "--j", "16", "--json"], "inverse sums:j16:v2"),
+        # the four claims together, which list the literals once
+        (["verify", "all", "--j", "16", "--json"], ":j16:"),
     ],
 )
 def test_unbounded_probes_exit_3_within_a_second_in_a_fresh_process(argv, bound):

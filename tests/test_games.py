@@ -1,6 +1,7 @@
 """Structural layer: interning, constructors, predicates, lengths."""
 
 import functools
+import itertools
 import random
 import sys
 import threading
@@ -156,6 +157,29 @@ def test_dyadic_shift_arithmetic_matches_fractions():
     assert literals == sorted(literals, key=lambda lit: (lit.value, lit.exponent))
     inside = [x for x in number_literals(3, 2) if abs(x.value) <= Fraction(3, 2)]
     assert number_literals(3, Fraction(3, 2)) == inside
+
+
+def _sorted_literals(max_exponent, max_magnitude, include_zero=False):
+    """The literals listed exponent by exponent, then sorted by (value, exponent)."""
+    found = []
+    for exponent in range(max_exponent + 1):
+        top = (max_magnitude.numerator << exponent) // max_magnitude.denominator
+        for numerator in range(-top, top + 1):
+            if exponent > 0 and numerator % 2 == 0:
+                continue
+            if numerator == 0 and not include_zero:
+                continue
+            found.append(NumberLiteral(numerator, exponent))
+    found.sort(key=lambda lit: (lit.scaled(max_exponent), lit.exponent))
+    return found
+
+
+def test_number_literals_match_the_sorted_listing():
+    magnitudes = [0, 1, 2, 3, 6, Fraction(3, 2), Fraction(1, 4), Fraction(5, 3)]
+    for exponent, magnitude in itertools.product(range(9), magnitudes):
+        for include_zero in (False, True):
+            expected = _sorted_literals(exponent, magnitude, include_zero)
+            assert number_literals(exponent, magnitude, include_zero) == expected
 
 
 def test_conjugate_examples():
