@@ -55,7 +55,6 @@ from .outcomes import (
     dead_end_sum_outcome,
     normal_geq,
     number_sum_outcome,
-    outcome_geq,
     outcome_misere,
     outcome_misere_sum,
 )

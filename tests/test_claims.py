@@ -137,7 +137,7 @@ def test_bounds_are_frozen_records():
 
 
 def test_bounds_refuse_games_without_options():
-    # every game generator takes an option; zero options name no bound at all
+    # every game generator takes at least one option, so 0 is refused by name
     with pytest.raises(ValueError, match="^bound options must be >= 1, got 0$"):
         Bounds(options=0)
     with pytest.raises(ValueError, match="^bound options must be >= 1, got 0$"):
