@@ -87,6 +87,79 @@ def test_parse_errors():
             parse_game(text)
 
 
+# The character-loop lexer that the one-pattern lexer replaced, kept as the
+# reference.  On ASCII text the two must give the same tokens, or the same
+# ParseError message, line and column.
+
+
+def char_loop_tokenize(text):
+    symbols = set("{}|+~,().*/-")
+    tokens = []
+    line, column = 1, 1
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            column = 1
+            i += 1
+            continue
+        if ch.isspace():
+            column += 1
+            i += 1
+            continue
+        if ch.isdigit():
+            start = i
+            while i < len(text) and text[i].isdigit():
+                i += 1
+            tokens.append(notation._Token("nat", text[start:i], line, column))
+            column += i - start
+            continue
+        if ch.isalpha():
+            start = i
+            while i < len(text) and text[i].isalpha():
+                i += 1
+            word = text[start:i]
+            if word != "lambda":
+                raise ParseError(f"unexpected word {word!r}", line, column)
+            tokens.append(notation._Token("lambda", word, line, column))
+            column += i - start
+            continue
+        if ch in symbols:
+            tokens.append(notation._Token(ch, ch, line, column))
+            column += 1
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, column)
+    tokens.append(notation._Token("end", "", line, column))
+    return tokens
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return (str(err), err.line, err.column)
+
+
+# ASCII text, with whole words and numerals mixed in so that `lambda`, long
+# numerals and words next to symbols turn up often
+ascii_texts = st.lists(
+    st.one_of(
+        st.characters(max_codepoint=127),
+        st.sampled_from(["lambda", "lambda(", "12", "007", "1/4", "\n", " \t", "\r\n"]),
+    ),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(ascii_texts)
+def test_tokenizer_matches_the_character_loop_on_ascii(text):
+    expected = tokens_or_error(char_loop_tokenize, text)
+    assert tokens_or_error(notation._tokenize, text) == expected
+
+
 def test_parse_nested():
     game = parse_game("{1, {0|*} | ~lambda(2)}")
     assert right_options(game) == (conjugate(lambda_game(2)),)
