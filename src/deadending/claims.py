@@ -193,7 +193,11 @@ def _witness(game: GameId, role: str, **extra) -> dict:
 
 class _Check:
     """One claim run's cases, failures (the claim is refuted) and shortfalls
-    (a search came up empty within the bounds: skipped, unless refuted)."""
+    (a search came up empty within the bounds: skipped, unless refuted).
+
+    `run` files a case, `refute` files the case that a context witness
+    separates g from h, and `search` files a case settled by finding
+    something."""
 
     def __init__(self):
         self.cases = 0
@@ -208,6 +212,25 @@ class _Check:
         if not ok:
             extra = {k: v() if callable(v) else v for k, v in extra.items()}
             self.failures.append(_witness(game, role, **extra))
+
+    def refute(
+        self,
+        g: GameId,
+        h: GameId,
+        predicate: RowPredicate,
+        bounds: Bounds,
+        role: str,
+        routes: Optional[dict[str, int]] = None,
+        **extra,
+    ) -> None:
+        """A case that some context separates g from h by predicate: the
+        witness `_context_witness` finds, re-checked by `_verify_refutation`.
+        When a dict of routes is given, the witness's route is tallied in it."""
+        hit = _context_witness(g, h, predicate, bounds)
+        if hit is not None and routes is not None:
+            routes[hit[1]] += 1
+        ok = hit is not None and _verify_refutation(g, h, hit[0], predicate)
+        self.run(ok, g, role, **extra)
 
     def search(self, found: bool, reason: str) -> None:
         """A case settled by finding something; `reason` names the bound first."""
@@ -246,9 +269,10 @@ def _context_witness(
     conj(h) + Y; the composite step mirrors the reduction of g >= h to
     g + conj(h) >= 0, valid whenever h has an inverse.  Composites are read
     as the rows of g + conj(h) and h + conj(h) against Y, so only the
-    returned witness is built.  Every returned witness is re-checked by the
-    caller with `_verify_refutation` and the same predicate, so the route
-    taken never weakens the result.
+    returned witness is built.  Every witness a claim counts in its favour is
+    re-checked with `_verify_refutation` and the same predicate, by
+    `_Check.refute` or by `thm:geq-implies-normal`, so the route taken never
+    weakens the result.
     """
     pools = (bounds.dead_ending_tests, bounds.ladder_pack)
     for route, tests in zip(("scan", "ladder"), pools):
@@ -650,11 +674,8 @@ def _claim_numbers_distinct(bounds: Bounds, check: _Check) -> None:
     routes = {"scan": 0, "ladder": 0, "composite": 0}
     for a, b in bounds.literal_pairs:
         ga, gb = dyadic_game(a), dyadic_game(b)
-        hit = _context_witness(ga, gb, _differ, bounds)
-        if hit is not None:
-            routes[hit[1]] += 1
-        ok = hit is not None and _verify_refutation(ga, gb, hit[0], _differ)
-        check.run(ok, ga, "no distinguishing context found", pair=f"{a},{b}")
+        role = "no distinguishing context found"
+        check.refute(ga, gb, _differ, bounds, role, routes, pair=f"{a},{b}")
     check.details["routes"] = routes
     check.details["tests"] = tests.descriptor
 
@@ -697,23 +718,14 @@ def _claim_number_order(bounds: Bounds, check: _Check) -> None:
                 "closed-form greater direction refuted",
                 pair=f"{a},{b}",
             )
-            strict = _context_witness(lo, hi, _fails_geq, bounds)
-            ok = strict is not None and _verify_refutation(lo, hi, strict[0], _fails_geq)
-            check.run(ok, lo, "strictness witness missing", pair=f"{a},{b}")
+            role = "strictness witness missing"
+            check.refute(lo, hi, _fails_geq, bounds, role, pair=f"{a},{b}")
         elif relation is Relation.INCOMPARABLE:
             incomparable_checked += 1
             for x, y in ((a, b), (b, a)):
                 gx, gy = dyadic_game(x), dyadic_game(y)
-                hit = _context_witness(gx, gy, _fails_geq, bounds)
-                ok = hit is not None and _verify_refutation(gx, gy, hit[0], _fails_geq)
-                if hit is not None:
-                    routes[hit[1]] += 1
-                check.run(
-                    ok,
-                    gx,
-                    "incomparable direction lacks a witness",
-                    pair=f"{x},{y}",
-                )
+                role = "incomparable direction lacks a witness"
+                check.refute(gx, gy, _fails_geq, bounds, role, routes, pair=f"{x},{y}")
     check.details.update(
         {
             "tests": tests.descriptor,

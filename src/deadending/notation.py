@@ -9,6 +9,8 @@ Grammar (whitespace insignificant)::
     opts    := "." | nothing | expr ("," expr)*
     int     := "-"? digits
     frac    := "-"? digits "/" digits      (denominator a power of two)
+    nat     := digits
+    digits  := [0-9]+                      (ASCII digits only)
 
 "~" is conjugation and "." an empty option set (a bare empty side is also
 accepted).  Parsing and building are one walk: each grammar rule returns the
@@ -22,6 +24,7 @@ integers, non-integer numbers, ladders, and star over brace form.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, NamedTuple
 
 from .games import (
@@ -59,48 +62,31 @@ class _Token(NamedTuple):
     column: int
 
 
-_SYMBOLS = set("{}|+~,().*/-")
+# One alternative per token class, the commonest first; what no other
+# alternative names is an unexpected character.  `re`'s own cache compiles
+# the pattern on first use, so importing the module compiles nothing.
+_TOKEN_PATTERN = (
+    r"(?P<symbol>[{}|+~,().*/-])|(?P<space>[^\S\n])|(?P<nat>[0-9]+)"
+    r"|(?P<word>[A-Za-z]+)|(?P<newline>\n)|(?P<other>.)"
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line, column = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
+    line, line_start = 1, 0  # line_start: the offset where the line starts
+    for match in re.finditer(_TOKEN_PATTERN, text):
+        kind = match.lastgroup
+        if kind == "space":
             continue
-        if ch.isspace():
-            column += 1
-            i += 1
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
             continue
-        if ch.isdigit():
-            start = i
-            while i < len(text) and text[i].isdigit():
-                i += 1
-            tokens.append(_Token("nat", text[start:i], line, column))
-            column += i - start
-            continue
-        if ch.isalpha():
-            start = i
-            while i < len(text) and text[i].isalpha():
-                i += 1
-            word = text[start:i]
-            if word != "lambda":
-                raise ParseError(f"unexpected word {word!r}", line, column)
-            tokens.append(_Token("lambda", word, line, column))
-            column += i - start
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, column))
-            column += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-    tokens.append(_Token("end", "", line, column))
+        lexeme, column = match[0], match.start() - line_start + 1
+        if kind == "other" or kind == "word" and lexeme != "lambda":
+            what = "word" if kind == "word" else "character"
+            raise ParseError(f"unexpected {what} {lexeme!r}", line, column)
+        tokens.append(_Token("nat" if kind == "nat" else lexeme, lexeme, line, column))
+    tokens.append(_Token("end", "", line, len(text) - line_start + 1))
     return tokens
 
 

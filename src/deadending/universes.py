@@ -29,6 +29,7 @@ is one `add` onto the sum of its prefix, listed one size earlier.
 from __future__ import annotations
 
 import itertools
+import re
 from enum import Enum
 from functools import cached_property, lru_cache
 from math import comb, inf
@@ -370,24 +371,6 @@ def gen_dead_ends(birthday_cap: int, option_cap: int) -> list[GameId]:
     return sort_games(ends)
 
 
-def bounded_multisets(
-    descriptor: str, count: int, items: Callable[[], Sequence[T]], max_terms: int
-) -> Iterator[tuple[T, ...]]:
-    """Every multiset of at most max_terms of the count items, by size.
-
-    Their number is checked against the member budget first, under the
-    descriptor.  The items are listed only after it passes, and only when
-    there are terms to draw, so a refused descriptor lists no item and
-    builds no game.
-    """
-    within_budget(descriptor, comb(count + max_terms, max_terms))
-    pool = items() if max_terms else ()
-    return itertools.chain.from_iterable(
-        itertools.combinations_with_replacement(pool, size)
-        for size in range(max_terms + 1)
-    )
-
-
 def bounded_sums(
     descriptor: str,
     count: int,
@@ -398,20 +381,23 @@ def bounded_sums(
     """Every multiset of at most max_terms of the count items, by size, with
     the sum of its items' games.
 
-    Refused, and its items listed, by `bounded_multisets` before the first
-    sum is built.  Each sum is one `add` onto the sum of the multiset's
-    prefix, the multiset without its last item, which was listed one size
-    earlier.
+    Their number is checked against the member budget first, under the
+    descriptor.  The items are listed only after it passes, and only when
+    there are terms to draw, so a refused descriptor lists no item and builds
+    no game.  Each sum is one `add` onto the sum of the multiset's prefix, the
+    multiset without its last item, which was listed one size earlier.
     """
-    combos = bounded_multisets(descriptor, count, items, max_terms)
+    within_budget(descriptor, comb(count + max_terms, max_terms))
+    pool = items() if max_terms else ()
 
     def with_sums() -> Iterator[tuple[tuple[T, ...], GameId]]:
         prefixes: dict[tuple[T, ...], GameId] = {}
-        for combo in combos:
-            total = add(prefixes[combo[:-1]], game(combo[-1])) if combo else ZERO
-            if len(combo) < max_terms:
-                prefixes[combo] = total
-            yield combo, total
+        for size in range(max_terms + 1):
+            for combo in itertools.combinations_with_replacement(pool, size):
+                total = add(prefixes[combo[:-1]], game(combo[-1])) if combo else ZERO
+                if size < max_terms:
+                    prefixes[combo] = total
+                yield combo, total
 
     return with_sums()
 
@@ -461,7 +447,7 @@ def _generate(descriptor: str) -> TestSet:
     kind = fields[0]
 
     def value(field: str, prefix: str) -> int:
-        if not field.startswith(prefix) or not field[len(prefix):].isdigit():
+        if not re.fullmatch(prefix + "[0-9]+", field):
             raise ValueError(f"malformed descriptor field {field!r} in {descriptor!r}")
         return int(field[len(prefix):])
 

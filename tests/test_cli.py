@@ -213,6 +213,22 @@ def test_parse_error_is_usage_error():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["outcome", "²"], "error: unexpected character '²' at line 1, column 1\n"),
+        (["outcome", "1/٣"], "error: unexpected character '٣' at line 1, column 3\n"),
+        (
+            ["universe", "dead-ending:b²:k2"],
+            "error: malformed descriptor field 'b²' in 'dead-ending:b²:k2'\n",
+        ),
+    ],
+    ids=["superscript-two", "arabic-indic-three", "descriptor"],
+)
+def test_non_ascii_digits_are_usage_errors(argv, message):
+    assert run_cli(argv) == (2, "", message)
+
+
 def test_bad_descriptor_is_usage_error():
     code, _, err = run_cli(["equiv", "0", "0", "--tests", "no-such:b1"])
     assert code == 2

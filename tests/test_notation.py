@@ -3,12 +3,13 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from deadending import (
@@ -158,6 +159,42 @@ ascii_texts = st.lists(
 def test_tokenizer_matches_the_character_loop_on_ascii(text):
     expected = tokens_or_error(char_loop_tokenize, text)
     assert tokens_or_error(notation._tokenize, text) == expected
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [("²", 1), ("1/²", 3), ("lambda(²)", 8), ("٣", 1), ("1 + ١٢", 5), ("{0|\n ²}", 2)],
+)
+def test_only_ascii_digits_form_numerals(text, column):
+    with pytest.raises(ParseError) as err:
+        parse_game(text)
+    assert type(err.value) is ParseError
+    assert "unexpected character" in str(err.value)
+    assert (err.value.line, err.value.column) == (text.count("\n") + 1, column)
+
+
+# any text, with non-ASCII digits and letters and notation fragments mixed in
+any_texts = st.lists(
+    st.one_of(
+        st.text(max_size=3),
+        st.sampled_from(["²", "٣", "١٢", "é", "lambda(", "1/", "{0|", "} + ~", "\n"]),
+    ),
+    max_size=12,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(any_texts)
+def test_parse_returns_a_game_or_raises_parse_error(text):
+    # a numeral of four or more digits builds a game of its size, and a long
+    # enough one is refused by the member budget instead (exit 3, tested apart)
+    assume(not re.search("[0-9]{4}", text))
+    try:
+        game = parse_game(text)
+    except ParseError as err:
+        assert type(err) is ParseError
+    else:
+        assert isinstance(game, int)
 
 
 def test_parse_nested():

@@ -207,16 +207,16 @@ def test_literal_count_counts_fraction_magnitudes_too():
         assert literal_count(exponent, magnitude) == count, (exponent, magnitude)
 
 
-def test_bounded_multisets_count_before_listing():
+def test_bounded_sums_count_before_listing():
     def unlisted():
         raise AssertionError("items listed")
 
     with pytest.raises(BudgetExceededError) as err:
-        universes.bounded_multisets("many", 10**6, unlisted, 1)
+        universes.bounded_sums("many", 10**6, unlisted, 1)
     assert (err.value.descriptor, err.value.needed) == ("many", 10**6 + 1)
-    assert list(universes.bounded_multisets("none", 10**6, unlisted, 0)) == [()]
-    combos = universes.bounded_multisets("abc", 3, lambda: "abc", 2)
-    assert ["".join(c) for c in combos] == [
+    assert list(universes.bounded_sums("none", 10**6, unlisted, 0)) == [((), ZERO)]
+    sums = universes.bounded_sums("abc", 3, lambda: "abc", 2, lambda item: ZERO)
+    assert ["".join(c) for c, _ in sums] == [
         "", "a", "b", "c", "aa", "ab", "ac", "bb", "bc", "cc"
     ]
 
@@ -447,6 +447,21 @@ def test_generate_rejects_malformed():
     for text in ("dead-ending", "numbers:j2:v1", "dead-ending:bx:k2", "nope:b1:k1"):
         with pytest.raises(ValueError):
             generate(text)
+
+
+@pytest.mark.parametrize(
+    "descriptor, field",
+    [
+        ("dead-ending:b²:k2", "b²"),
+        ("dead-ending:b٣:k1", "b٣"),
+        ("dead-ending:b2:k2:cap١٠", "cap١٠"),
+        ("numbers:j2:v1:t²", "t²"),
+    ],
+)
+def test_descriptor_fields_take_ascii_digits_only(descriptor, field):
+    with pytest.raises(ValueError) as err:
+        generate(descriptor)
+    assert str(err.value) == f"malformed descriptor field {field!r} in {descriptor!r}"
 
 
 def test_generate_returns_the_kept_test_set_with_its_rows():
