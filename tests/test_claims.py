@@ -1,7 +1,12 @@
 """The claim registry: every checker runs, passes, and reports faithfully."""
 
+import hashlib
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -336,6 +341,91 @@ def test_number_sum_rows_match_the_pair_search():
         assert alone[i] == outcome_misere(total), total
         for x, row in zip(left_ends, rows):
             assert row[i] == outcome_misere_sum(total, x), (total, x)
+
+
+# The three number-sum claims forced to fail in a fresh process, where
+# interning order, and so the option order of every rendered witness,
+# depends on nothing but the run.  Each witness is printed as one JSON line.
+FORCED_NUMBER_FAILURES = """
+import json
+from deadending import claims
+from deadending.claims import Bounds, run_claim
+from deadending.outcomes import Outcome
+
+bounds = Bounds(birthday=1, options=2, terms=3, exponent=1, magnitude=1, scan_birthday=1)
+real = claims.number_sum_outcome
+flip = {Outcome.L: Outcome.R, Outcome.R: Outcome.L, Outcome.N: Outcome.P}
+# every three-term sum disagrees with its length rule, then is called Left-won
+claims.number_sum_outcome = lambda terms: flip[real(terms)] if len(terms) == 3 else real(terms)
+reports = [run_claim("lemma:number-sum-outcome", bounds)]
+claims.number_sum_outcome = lambda terms: Outcome.L if len(terms) == 3 else real(terms)
+reports.append(run_claim("lemma:number-plus-end", bounds))
+claims.number_sum_outcome = real
+integer = claims.integer_game
+claims.integer_game = lambda n: integer(n + 1)  # each literal against the wrong integer
+reports.append(run_claim("cor:number-collapses", bounds))
+for report in reports:
+    print(json.dumps([report.claim, report.status, report.cases]))
+    for witness in report.witnesses:
+        print(json.dumps(witness))
+"""
+
+THREE_TERMS = [
+    "-1 + -1 + -1", "-1 + -1 + -1/2", "-1 + -1 + 1/2", "-1 + -1 + 1", "-1 + -1/2 + -1/2",
+    "-1 + -1/2 + 1/2", "-1 + -1/2 + 1", "-1 + 1/2 + 1/2", "-1 + 1/2 + 1", "-1 + 1 + 1",
+    "-1/2 + -1/2 + -1/2", "-1/2 + -1/2 + 1/2", "-1/2 + -1/2 + 1", "-1/2 + 1/2 + 1/2",
+    "-1/2 + 1/2 + 1", "-1/2 + 1 + 1", "1/2 + 1/2 + 1/2", "1/2 + 1/2 + 1", "1/2 + 1 + 1",
+    "1 + 1 + 1",
+]
+# the rendered sums of a few of those, as the parent's full table built them
+SUM_RENDERS = {
+    "-1 + -1 + -1": "-3",
+    "-1 + -1 + -1/2": "{-3 | -2, {-2 | -1, -1/2}}",
+    "-1 + -1 + 1/2": "{-2 | {-1 | 1/2, {-1 | 1}}, {-2 | {-1 | 1}}}",
+    "-1 + -1/2 + 1": "{{-2 | -1, -1/2}, {-2 | {-1 | 1}} | {-1 | 1}, {-1/2, {-1 | 1} | 1}}",
+    "-1 + 1/2 + 1/2": "{{-1 | 1/2, {-1 | 1}} | {1/2 | {1, 1/2 | 2}}, "
+                      "{{-1 | 1}, {-1 | 1/2, {-1 | 1}} | {1, 1/2 | 2}, {{-1 | 1} | 2}}}",
+    "-1/2 + 1 + 1": "{{-1/2, {-1 | 1} | 1}, {{-1 | 1} | 2} | 2}",
+    "1/2 + 1/2 + 1/2": "{{1/2 | {1, 1/2 | 2}} | "
+                       "{{1, 1/2 | 2}, {1/2 | {1, 1/2 | 2}} | {2, {1, 1/2 | 2} | 3}}}",
+    "1 + 1 + 1": "3",
+}
+# sha256 of the sum-outcome witnesses' JSON lines, joined by newlines
+SUM_WITNESSES_SHA256 = "e7a4452ba35e03f988d927db2f129956ea7d4a4e9e7e627075f6487484897b25"
+
+
+def test_forced_number_sum_failures_pin_their_witnesses():
+    package_root = str(pathlib.Path(claims.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    lines = subprocess.run(
+        [sys.executable, "-c", FORCED_NUMBER_FAILURES],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout.splitlines()
+    heads = [i for i, line in enumerate(lines) if line.startswith("[")]
+    blocks = [lines[i + 1:j] for i, j in zip(heads, heads[1:] + [len(lines)])]
+    assert [json.loads(lines[i]) for i in heads] == [
+        ["lemma:number-sum-outcome", "refuted", 35],
+        ["lemma:number-plus-end", "refuted", 50],
+        ["cor:number-collapses", "refuted", 4],
+    ]
+    sums, ends, collapses = ([json.loads(line) for line in block] for block in blocks)
+    assert [w["terms"] for w in sums] == THREE_TERMS
+    assert {w["role"] for w in sums} == {"solver disagrees with length rule"}
+    assert {w["terms"]: w["game"] for w in sums if w["terms"] in SUM_RENDERS} == SUM_RENDERS
+    digest = hashlib.sha256("\n".join(blocks[0]).encode()).hexdigest()
+    assert digest == SUM_WITNESSES_SHA256
+    # the two left ends of dead-ending:b1:k2 against each Left-won three-term sum
+    left_won = THREE_TERMS[7:10] + THREE_TERMS[13:]
+    assert ends == [
+        {"game": x, "role": "left end spoils a Left-won number sum", "terms": terms}
+        for terms in left_won
+        for x in ("0", "-1")
+    ]
+    assert collapses == [
+        {"game": lit, "role": "number distinguished from its length integer over numbers",
+         "literal": lit, "integer": n}
+        for lit, n in (("-1", -1), ("-1/2", -1), ("1/2", 1), ("1", 1))
+    ]
 
 
 def test_literal_birthdays_and_inverse_positions_have_closed_forms():
