@@ -21,7 +21,8 @@ import random
 import time
 from collections import namedtuple
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple, Optional
+from math import comb
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .games import (
     ZERO,
@@ -42,6 +43,7 @@ from .games import (
     lambda_game,
     left_length,
     left_options,
+    literal_count,
     number_literals,
     right_length,
     right_options,
@@ -66,6 +68,7 @@ from .universes import (
     TestSet,
     _differ,
     _fails_geq,
+    bounded_sums,
     compare_integers_mod_dead_end_closure,
     compare_numbers_mod_E,
     equiv_mod,
@@ -75,7 +78,6 @@ from .universes import (
     gen_number_closure,
     geq_mod,
     invert_check,
-    number_multisets,
     quotient_monoid,
     reduce_end_to_integer,
     witness_contexts,
@@ -83,13 +85,35 @@ from .universes import (
 
 
 class NumberSums(NamedTuple):
-    """The multisets of a numbers test set's literals, in build order, each
-    with the index of its sum in `table`, whose contexts start with the
-    distinct sums in the order they were first built."""
+    """The multisets of at most t literals of a numbers test set, read
+    through a table over the shorter sums.
+
+    `table`'s contexts start with the distinct sums of at most t - 1
+    literals, in build order.  Each case, in build order, holds a multiset
+    and the index i of its prefix's sum: the multiset without its last
+    literal c (the empty multiset is its own prefix, with c = 0).  So g plus
+    the case's sum is entry i of the row of g + c, `shifted(g)[literals[-1:]]`,
+    and only the prefixes are built: a full sum only as a witness (`total`).
+    """
 
     descriptor: str
+    last: list[NumberLiteral]  # the literals that end a case: none at t = 0
     cases: list[tuple[tuple[NumberLiteral, ...], int]]
     table: ContextTable
+
+    def shifted(self, g: GameId) -> dict[tuple[NumberLiteral, ...], GameId]:
+        """g plus each last literal's game, keyed by the case's `literals[-1:]`."""
+        return {(): g, **{(c,): add(g, dyadic_game(c)) for c in self.last}}
+
+    def outcomes(self, games: Sequence[GameId]) -> list[dict[tuple, list[Outcome]]]:
+        """Each game's shifted rows, solved together and decoded whole."""
+        shifts = [self.shifted(g) for g in games]
+        self.table.solve(s for shift in shifts for s in shift.values())
+        return [{key: self.table.outcomes(s) for key, s in shift.items()} for shift in shifts]
+
+    def total(self, literals: tuple[NumberLiteral, ...], i: int) -> GameId:
+        """The sum of case (literals, i), built on request."""
+        return add(self.table.contexts[i], dyadic_game(literals[-1]) if literals else ZERO)
 
 
 class Bounds(namedtuple("Bounds", "birthday options terms exponent magnitude scan_birthday "
@@ -146,10 +170,22 @@ class Bounds(namedtuple("Bounds", "birthday options terms exponent magnitude sca
 
     @cached_property
     def number_sums(self) -> NumberSums:
-        descriptor, sums = number_multisets(self.exponent, self.magnitude, self.terms)
+        """The multisets of the numbers test set, refused on their count
+        before a literal is listed; only their prefixes' sums are built."""
+        terms = self.terms
+        descriptor = f"numbers:j{self.exponent}:v{self.magnitude}:t{terms}"
+        count = literal_count(self.exponent, self.magnitude)  # len(self.literals)
+        within_budget(descriptor, comb(count + terms, terms))
+        last = self.literals if terms else []
+        prefixes = bounded_sums(descriptor, count, lambda: last, max(terms - 1, 0), dyadic_game)
         index: dict[GameId, int] = {}
-        cases = [(literals, index.setdefault(s, len(index))) for literals, s in sums]
-        return NumberSums(descriptor, cases, ContextTable(tuple(index)))
+        position = {combo: index.setdefault(s, len(index)) for combo, s in prefixes}
+        cases = [
+            (combo, position[combo[:-1]])
+            for size in range(terms + 1)
+            for combo in itertools.combinations_with_replacement(last, size)
+        ]
+        return NumberSums(descriptor, last, cases, ContextTable(tuple(index)))
 
     @cached_property
     def dead_ending_tests(self) -> TestSet:
@@ -206,12 +242,14 @@ class _Check:
         self.details: dict = {}
         self.shortfalls: list[str] = []
 
-    def run(self, ok: bool, game: GameId, role: str, **extra) -> None:
-        # an `extra` given as a function is called on failure only
+    def run(
+        self, ok: bool, game: Union[GameId, Callable[[], GameId]], role: str, **extra
+    ) -> None:
+        # the game, or an `extra`, given as a function is called on failure only
         self.cases += 1
         if not ok:
             extra = {k: v() if callable(v) else v for k, v in extra.items()}
-            self.failures.append(_witness(game, role, **extra))
+            self.failures.append(_witness(game() if callable(game) else game, role, **extra))
 
     def refute(
         self,
@@ -563,11 +601,11 @@ def _claim_right_option_length(bounds: Bounds, check: _Check) -> None:
 
 def _claim_number_sum_outcome(bounds: Bounds, check: _Check) -> None:
     sums = bounds.number_sums
-    alone = sums.table.outcomes(ZERO)  # zero's row: each sum's own outcome
+    (alone,) = sums.outcomes([ZERO])  # each sum's own outcome
     for literals, i in sums.cases:
         check.run(
-            alone[i] == number_sum_outcome(literals),
-            sums.table.contexts[i],
+            alone[literals[-1:]][i] == number_sum_outcome(literals),
+            lambda: sums.total(literals, i),
             "solver disagrees with length rule",
             terms=lambda: " + ".join(str(l) for l in literals) or "0",
         )
@@ -580,10 +618,11 @@ def _claim_number_collapses(bounds: Bounds, check: _Check) -> None:
         (lit, dyadic_game(lit), integer_game(lit.signed_length()))
         for lit in bounds.literals
     ]
-    sums.table.solve(game for _, g, n in pairs for game in (g, n))
-    for lit, g, n in pairs:
+    shifts = [(sums.shifted(g), sums.shifted(n)) for _, g, n in pairs]
+    sums.table.solve(s for pair in shifts for shift in pair for s in shift.values())
+    for (lit, g, _), (g_plus, n_plus) in zip(pairs, shifts):
         check.run(
-            sums.table.first(g, n, _differ) is None,
+            all(sums.table.first(g_plus[k], n_plus[k], _differ) is None for k in g_plus),
             g,
             "number distinguished from its length integer over numbers",
             literal=str(lit),
@@ -596,14 +635,14 @@ def _claim_number_plus_end(bounds: Bounds, check: _Check) -> None:
     tests = bounds.dead_ending_tests
     left_ends = [x for x in tests.members if is_left_end(x)]
     sums = bounds.number_sums
-    sums.table.solve(left_ends)
-    rows = [sums.table.outcomes(x) for x in left_ends]  # x plus every sum
+    rows = sums.outcomes(left_ends)  # x plus every sum
     for literals, i in sums.cases:
         if number_sum_outcome(literals) != Outcome.L:  # the empty sum is N
             continue
+        last = literals[-1:]
         for x, row in zip(left_ends, rows):
             check.run(
-                row[i] == Outcome.L,
+                row[last][i] == Outcome.L,
                 x,
                 "left end spoils a Left-won number sum",
                 terms=lambda: " + ".join(str(l) for l in literals),

@@ -29,6 +29,7 @@ from typing import Iterable, NamedTuple
 
 from .games import (
     ZERO,
+    BudgetExceededError,
     GameId,
     NumberLiteral,
     _all,
@@ -53,6 +54,27 @@ class ParseError(ValueError):
         super().__init__(f"{message} at line {line}, column {column}")
         self.line = line
         self.column = column
+
+
+# Python converts at most 4,300 decimal digits by default; a longer numeral is
+# refused on its length, before `int()` would refuse it without a position
+_NUMERAL_DIGITS = 4300
+
+
+class NumeralTooLong(BudgetExceededError):
+    """A numeral of more digits than the parser converts, with its position:
+    refused as a budget is, so the CLI exits 3."""
+
+    def __init__(self, digits: int, line: int, column: int):
+        super().__init__(f"numeral at line {line}, column {column}", digits, _NUMERAL_DIGITS)
+        self.line = line
+        self.column = column
+
+    def __str__(self) -> str:
+        return (
+            f"numeral of {self.needed} digits at line {self.line}, column {self.column} "
+            f"exceeds the limit of {self.allowed} digits"
+        )
 
 
 class _Token(NamedTuple):
@@ -109,6 +131,13 @@ class _Parser:
         self.pos += 1
         return token
 
+    def natural(self) -> tuple[int, _Token]:
+        """The next numeral's value and token, refused on its length first."""
+        token = self.take("nat")
+        if len(token.text) > _NUMERAL_DIGITS:
+            raise NumeralTooLong(len(token.text), token.line, token.column)
+        return int(token.text), token
+
     # The rules below are steps of the engine's walk (`games._walk`): a rule
     # yields the generator of each rule it applies, is sent the game that
     # rule built, and returns the game it denotes.  `term` also reads atoms
@@ -154,9 +183,8 @@ class _Parser:
         if token.kind == "lambda":
             self.take("lambda")
             self.take("(")
-            nat = self.take("nat")
+            k, nat = self.natural()
             self.take(")")
-            k = int(nat.text)
             if k < 1:
                 raise ParseError("lambda index must be >= 1", nat.line, nat.column)
             return lambda_game(k)
@@ -178,12 +206,12 @@ class _Parser:
         if self.peek().kind == "-":
             self.take("-")
             negative = True
-        head = self.take("nat")
-        numerator = -int(head.text) if negative else int(head.text)
+        numerator, _ = self.natural()
+        if negative:
+            numerator = -numerator
         if self.peek().kind == "/":
             self.take("/")
-            denom_token = self.take("nat")
-            denominator = int(denom_token.text)
+            denominator, denom_token = self.natural()
             if denominator <= 0 or denominator & (denominator - 1):
                 raise ParseError(
                     f"denominator {denominator} is not a power of two",

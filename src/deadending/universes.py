@@ -15,7 +15,7 @@ Left and whether Right wins g + X moving first; it is computed from the rows
 of g's options by a pass over the contexts in id order (an option's id is
 below its game's), so no sum is built or searched.  A pass solves up to
 eight games at once, one bit of each context byte per game, so callers that
-need many rows (the monoid quotient, the number-collapse claim) request them
+need many rows (the monoid quotient, the number claims) request them
 together.  A scan is then a bit predicate on two rows, and the first set
 byte names the first witnessing member; a caller that reads most of a row
 decodes it whole (`ContextTable.outcomes`).  Two games are indistinguishable
@@ -402,17 +402,6 @@ def bounded_sums(
     return with_sums()
 
 
-def number_multisets(
-    max_exponent: int, max_magnitude: int, max_terms: int
-) -> tuple[str, Iterator[tuple[tuple[NumberLiteral, ...], GameId]]]:
-    """The numbers test set's descriptor, and its multisets of literals, each
-    with its sum; the literals' games are built in the literals' order."""
-    descriptor = f"numbers:j{max_exponent}:v{max_magnitude}:t{max_terms}"
-    count = literal_count(max_exponent, max_magnitude)  # len(number_literals(...))
-    literals = lambda: number_literals(max_exponent, max_magnitude)
-    return descriptor, bounded_sums(descriptor, count, literals, max_terms, dyadic_game)
-
-
 def gen_dead_end_closure(birthday_cap: int, option_cap: int, max_terms: int) -> TestSet:
     """Sums of up to max_terms dead ends, each within the structural bounds."""
     if max_terms < 0:
@@ -426,8 +415,12 @@ def gen_dead_end_closure(birthday_cap: int, option_cap: int, max_terms: int) -> 
 def gen_number_closure(
     max_exponent: int, max_magnitude: int, max_terms: int
 ) -> TestSet:
-    """Sums of up to max_terms canonical numbers within the literal bounds."""
-    descriptor, sums = number_multisets(max_exponent, max_magnitude, max_terms)
+    """Sums of up to max_terms canonical numbers within the literal bounds;
+    the literals' games are built in the literals' order."""
+    descriptor = f"numbers:j{max_exponent}:v{max_magnitude}:t{max_terms}"
+    count = literal_count(max_exponent, max_magnitude)  # len(number_literals(...))
+    literals = lambda: number_literals(max_exponent, max_magnitude)
+    sums = bounded_sums(descriptor, count, literals, max_terms, dyadic_game)
     return TestSet(descriptor, tuple(sort_games({s for _, s in sums})))
 
 

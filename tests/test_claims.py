@@ -21,6 +21,7 @@ from deadending import (
     birthday,
     conjugate,
     dyadic_game,
+    integer_game,
     is_left_end,
     number_literals,
     outcome_geq,
@@ -321,26 +322,86 @@ def test_number_sums_are_built_once_per_bounds_in_build_order():
     bounds = Bounds(exponent=2, magnitude=1, terms=3)
     sums = bounds.number_sums
     assert sums is bounds.number_sums and sums.descriptor == "numbers:j2:v1:t3"
-    built = [sums.table.contexts[i] for _, i in sums.cases]
-    assert built == [add_all(dyadic_game(l) for l in literals) for literals, _ in sums.cases]
-    distinct = tuple(dict.fromkeys(built))
-    assert sums.table.contexts[: len(distinct)] == distinct
+    assert sums.last is bounds.literals  # listed once, by the bounds
+    assert [literals for literals, _ in sums.cases] == [
+        combo
+        for size in range(4)
+        for combo in itertools.combinations_with_replacement(bounds.literals, size)
+    ]
     assert len(sums.cases) == comb(8 + 3, 3)  # 8 literals, up to 3 terms
+    # each case holds its prefix's sum; the table's contexts start with the
+    # distinct sums of at most two literals, in build order
+    prefixes = [sums.table.contexts[i] for _, i in sums.cases]
+    assert prefixes == [
+        add_all(dyadic_game(l) for l in literals[:-1]) for literals, _ in sums.cases
+    ]
+    shorter = sums.cases[: comb(8 + 2, 2)]  # the multisets of at most two literals
+    distinct = tuple(dict.fromkeys(add_all(map(dyadic_game, c)) for c, _ in shorter))
+    assert sums.table.contexts[: len(distinct)] == distinct
+    assert set(prefixes) == set(distinct)
+    for literals, i in sums.cases:
+        assert sums.total(literals, i) == add_all(dyadic_game(l) for l in literals), literals
+    assert Bounds(terms=0).number_sums.cases == [((), 0)]
+    assert Bounds(terms=0).number_sums.table.contexts == (ZERO,)
+
+
+# in a fresh process: the number sums intern the sums of at most t - 1
+# literals, by the left fold, and nothing more
+PREFIXES_ONLY = """
+import hashlib, itertools, sys
+from deadending import games
+from deadending.claims import Bounds
+from deadending.games import add_all, dyadic_game, number_literals
+if sys.argv[1] == "claims":
+    Bounds(terms=3).number_sums
+else:
+    pool = [dyadic_game(l) for l in number_literals(3, 2)]
+    for t in range(3):
+        for c in itertools.combinations_with_replacement(pool, t):
+            add_all(c)
+print(games.store_size(), hashlib.sha256(repr(games._nodes).encode()).hexdigest())
+"""
+
+
+def test_number_sums_build_only_the_shorter_sums():
+    package_root = str(pathlib.Path(claims.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", PREFIXES_ONLY, route],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout
+        for route in ("claims", "fold")
+    ]
+    assert runs[0] == runs[1]
+
+
+def _number_sum_differential(bounds):
+    """Every case of the bounds' number sums, read as the claims read it,
+    against the pair search on the built sum: alone, plus each left end x of
+    the scan pool, and plus each literal g and its length integer n."""
+    sums = bounds.number_sums
+    left_ends = [x for x in bounds.dead_ending_tests.members if is_left_end(x)]
+    shifts = sorted({g for lit in bounds.literals
+                     for g in (dyadic_game(lit), integer_game(lit.signed_length()))})
+    (alone, *rows) = sums.outcomes([ZERO] + left_ends + shifts)
+    for literals, i in sums.cases:
+        total = add_all(dyadic_game(l) for l in literals)
+        assert alone[literals[-1:]][i] == outcome_misere(total), literals
+        for x, row in zip(left_ends + shifts, rows):
+            assert row[literals[-1:]][i] == outcome_misere_sum(total, x), (literals, x)
+    return len(sums.cases), len(left_ends), len(shifts)
 
 
 def test_number_sum_rows_match_the_pair_search():
-    # the rows the number claims read, against the search they replaced
-    bounds = Bounds(exponent=2, magnitude=1, terms=3)
-    table = bounds.number_sums.table
-    left_ends = [x for x in bounds.dead_ending_tests.members if is_left_end(x)]
-    assert len(left_ends) == 4
-    alone = table.outcomes(ZERO)
-    rows = [table.outcomes(x) for x in left_ends]
-    for i in sorted({i for _, i in bounds.number_sums.cases}):
-        total = table.contexts[i]
-        assert alone[i] == outcome_misere(total), total
-        for x, row in zip(left_ends, rows):
-            assert row[i] == outcome_misere_sum(total, x), (total, x)
+    # every multiset of numbers:j2:v1:t3, as zero's, x's, g's and n's rows read it
+    assert _number_sum_differential(Bounds(exponent=2, magnitude=1, terms=3)) == (165, 4, 10)
+
+
+@pytest.mark.parametrize("terms", [0, 1, 2])
+def test_factored_number_sums_match_the_pair_search_at_few_terms(terms):
+    bounds = Bounds(exponent=1, magnitude=1, terms=terms, scan_birthday=1)
+    assert _number_sum_differential(bounds)[0] == comb(4 + terms, terms)
 
 
 # The three number-sum claims forced to fail in a fresh process, where

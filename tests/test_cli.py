@@ -229,6 +229,21 @@ def test_non_ascii_digits_are_usage_errors(argv, message):
     assert run_cli(argv) == (2, "", message)
 
 
+@pytest.mark.parametrize(
+    "text, column",
+    [("7" * 5000, 1), ("1/" + "8" * 5000, 3), ("lambda(" + "7" * 5000 + ")", 8)],
+    ids=["numerator", "denominator", "lambda"],
+)
+def test_an_over_long_numeral_exits_3_with_its_position(text, column):
+    # past 4,300 digits int() would refuse it with exit 2 and no position
+    assert run_cli(["outcome", text, "--json"]) == (
+        3,
+        "",
+        f"budget exceeded: numeral of 5000 digits at line 1, column {column} "
+        "exceeds the limit of 4300 digits\n",
+    )
+
+
 def test_bad_descriptor_is_usage_error():
     code, _, err = run_cli(["equiv", "0", "0", "--tests", "no-such:b1"])
     assert code == 2

@@ -34,7 +34,7 @@ from deadending import (
 from deadending import notation
 from deadending.claims import Bounds
 from deadending.notation import ParseError, _Parser, parse_game, render, render_all
-from deadending.universes import gen_dead_ending
+from deadending.universes import BudgetExceededError, gen_dead_ending
 
 from depth import shallow
 from strategies import build, shapes
@@ -171,6 +171,39 @@ def test_only_ascii_digits_form_numerals(text, column):
     assert type(err.value) is ParseError
     assert "unexpected character" in str(err.value)
     assert (err.value.line, err.value.column) == (text.count("\n") + 1, column)
+
+
+LONG = "7" * 4301  # one digit past what the parser converts
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [(LONG, 1), ("-" + LONG, 2), ("1/" + LONG, 3), (LONG + "/2", 1), ("lambda(" + LONG + ")", 8),
+     ("{0 |\n " + LONG + "}", 2)],
+    ids=["integer", "negative", "denominator", "numerator", "lambda", "second-line"],
+)
+def test_an_over_long_numeral_is_refused_on_its_length(text, column, monkeypatch):
+    def checked_int(digits):
+        assert len(digits) <= 4300, "an over-long numeral reached int()"
+        return int(digits)
+
+    monkeypatch.setattr(notation, "int", checked_int, raising=False)
+    with pytest.raises(notation.NumeralTooLong) as err:
+        _Parser(text).parse()
+    line = text.count("\n") + 1
+    assert (err.value.line, err.value.column, err.value.needed) == (line, column, 4301)
+    assert str(err.value) == (
+        f"numeral of 4301 digits at line {line}, column {column} exceeds the limit of 4300 digits"
+    )
+
+
+def test_a_numeral_at_the_length_limit_is_converted():
+    # 4,300 digits convert, and the integer's chain is refused by the member budget
+    with pytest.raises(BudgetExceededError) as err:
+        parse_game("7" * 4300)
+    assert type(err.value) is BudgetExceededError
+    assert err.value.descriptor == "ints:0.." + "7" * 4300
+    assert parse_game("1/" + str(1 << 1000)) == dyadic_game(NumberLiteral(1, 1000))
 
 
 # any text, with non-ASCII digits and letters and notation fragments mixed in
